@@ -27,14 +27,14 @@ across problems over the same database is always safe.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.core.packages import Package
 from repro.observability import metrics as _metrics
 from repro.observability import tracing as _tracing
 from repro.queries.base import Query
-from repro.relational.database import Database, DatabaseSnapshot, Relation, Row
+from repro.relational.database import Database, Row
 
 
 class CompatibilityConstraint:
@@ -87,79 +87,40 @@ class EmptyConstraint(CompatibilityConstraint):
 class QueryConstraint(CompatibilityConstraint):
     """``Qc(N, D) = ∅`` with ``Qc`` a query mentioning ``RQ`` and the database.
 
-    The candidate package is materialised as a relation whose name is the
-    answer-relation name of ``Qc`` (``RQ`` by default, or the name of the
-    relation the constraint's atoms actually reference).
+    The paper's definition taken literally: the candidate package ``N`` is an
+    *input* of ``Qc``.  Every probe materialises the package as a fresh
+    relation named after the answer relation of ``Qc`` (``RQ`` by default, or
+    the name of the relation the constraint's atoms actually reference) and
+    passes it through the query's ``extra_relations`` overlay, which shadows
+    the database's relations by name.  Nothing on the constraint or on the
+    database is mutated, so any number of threads may probe one constraint
+    concurrently, over a live database or a pinned
+    :class:`~repro.relational.database.DatabaseSnapshot` alike.
 
-    Probing is zero-copy: the constraint keeps one reusable *extended
-    database* per base database — the base :class:`Relation` objects shared
-    by reference plus a single mutable answer relation — and every probe
-    merely swaps that relation's rows in place via
-    :meth:`~repro.relational.database.Relation.replace_rows`.  The in-place
-    swap bumps the relation's version counter like any mutation, so the
-    evaluator's hash indexes on the answer relation can never go stale, while
-    the indexes on the base relations survive across probes.  The historical
-    probe (materialise a fresh relation, copy the database) is retained as
-    :meth:`is_satisfied_copying` for the differential suite and the
-    enumeration benchmark's pre-engine baseline.
-
-    The in-place swap makes the constraint object single-threaded.  The
-    *overlay* probe is the shared-nothing alternative (PR 6): the package is
-    materialised as a per-call relation passed to the query's
-    ``extra_relations`` overlay, so nothing on the constraint or the database
-    mutates and any number of reader threads may probe one constraint
-    concurrently.  ``use_snapshot_overlay`` selects the path — ``None`` (the
-    default) probes via the overlay exactly when ``database`` is a pinned
-    :class:`~repro.relational.database.DatabaseSnapshot` (the serving read
-    path), keeping the mutating fast path for the single-user solvers;
-    ``True``/``False`` force one path, which the differential coverage uses
-    to pin both agree verdict-for-verdict.  A query class whose ``evaluate``
-    does not take ``extra_relations`` falls back to the copying reference.
+    A query class whose ``evaluate`` implements only the base
+    ``evaluate(database)`` signature is probed against
+    ``database.with_relation(answer)`` instead: a new database sharing the
+    base relations by reference, plus the answer relation.
     """
 
     query: Query
     answer_relation: str = "RQ"
-    use_snapshot_overlay: Optional[bool] = field(default=None, compare=False)
 
     def is_satisfied(self, package: Package, database: Database) -> bool:
-        overlay = self.use_snapshot_overlay
-        if overlay is None:
-            overlay = isinstance(database, DatabaseSnapshot)
-        if overlay:
-            return self._is_satisfied_overlay(package, database)
-        extended, answer = self._extended_view(package, database)
-        try:
-            return len(self.query.evaluate(extended)) == 0
-        finally:
-            # Restore the reusable view no matter how the probe ends: a
-            # mid-probe exception (a step-limit abort, a ``TypeError`` from a
-            # mixed-type comparison) must not leave the shared answer relation
-            # holding this package's rows — the next consumer of the view
-            # would silently evaluate against a stale package.
-            answer.replace_rows(())
-
-    def _is_satisfied_overlay(self, package: Package, database: Database) -> bool:
-        """The thread-safe probe: a per-call answer relation overlays by name.
-
-        Builds a fresh relation holding the package and passes it through the
-        evaluator's ``extra_relations`` parameter, which shadows ``database``'s
-        relations by name without copying or mutating anything — the snapshot
-        counterpart of the ``replace_rows`` swap.  Verdict-identical to both
-        other probes; the compatibility-oracle tests pin the equivalence.
-        """
-        if not self._query_accepts_extra_relations():
-            return self.is_satisfied_copying(package, database)
         answer = package.as_relation(self.answer_relation)
-        result = self.query.evaluate(
-            database, extra_relations={self.answer_relation: answer}
-        )
+        if self._query_accepts_extra_relations():
+            result = self.query.evaluate(
+                database, extra_relations={self.answer_relation: answer}
+            )
+        else:
+            result = self.query.evaluate(database.with_relation(answer))
         return len(result) == 0
 
     def _query_accepts_extra_relations(self) -> bool:
         """Whether ``query.evaluate`` takes the ``extra_relations`` overlay.
 
         Every shipped query class does; a user subclass implementing only the
-        base ``evaluate(database)`` signature gets the copying fallback.
+        base ``evaluate(database)`` signature gets the ``with_relation`` probe.
         """
         cached = getattr(self, "_overlay_supported", None)
         if cached is None:
@@ -171,46 +132,6 @@ class QueryConstraint(CompatibilityConstraint):
                 cached = "extra_relations" in parameters
             self._overlay_supported = cached
         return cached
-
-    def is_satisfied_copying(self, package: Package, database: Database) -> bool:
-        """The historical per-probe copy path, kept as the reference semantics."""
-        package_relation = package.as_relation(self.answer_relation)
-        extended = database.with_relation(package_relation)
-        return len(self.query.evaluate(extended)) == 0
-
-    def _extended_view(
-        self, package: Package, database: Database
-    ) -> Tuple[Database, Relation]:
-        """The reusable extended database with the package's items as ``RQ``.
-
-        Returns the extended database *and* the answer relation so the caller
-        can restore the view (``replace_rows(())``) when the probe finishes.
-        """
-        state = getattr(self, "_probe_state", None)
-        if (
-            state is None
-            or state[0] is not database
-            or state[1].schema.attribute_names != package.schema.attribute_names
-            or state[3] != database.relation_names()
-            # The version component catches a copy-on-write commit: the swap
-            # replaces relation *objects* under unchanged names, so a view
-            # built before it would keep probing the frozen pre-commit
-            # relations.  (The clone preserves the version counter, so an
-            # unchanged version genuinely means unchanged objects and rows.)
-            or state[4] != database.version()
-        ):
-            answer = Relation(package.schema.rename(self.answer_relation))
-            state = (
-                database,
-                answer,
-                database.with_relation(answer),
-                database.relation_names(),
-                database.version(),
-            )
-            self._probe_state = state
-        answer = state[1]
-        answer.replace_rows(package.items)
-        return state[2], answer
 
     def relation_footprint(self) -> Optional[FrozenSet[str]]:
         """The query's relations minus the answer relation ``RQ``.

@@ -131,9 +131,16 @@ class Package:
         return item[self.schema.index_of(attribute)]
 
     def as_relation(self, name: Optional[str] = None) -> Relation:
-        """Materialise the package as a relation (used for Qc evaluation)."""
+        """Materialise the package as a relation (used for Qc evaluation).
+
+        The items are already schema-valid plain tuples (the constructor
+        validated them; :meth:`trusted` callers guarantee it), so they are
+        loaded with the trusted bulk :meth:`Relation.replace_rows`.
+        """
         schema = self.schema if name is None else self.schema.rename(name)
-        return Relation(schema, self.items)
+        relation = Relation(schema)
+        relation.replace_rows(self.items)
+        return relation
 
     def union(self, other: "Package") -> "Package":
         """The union of two packages over the same schema."""

@@ -804,10 +804,10 @@ def _quantized_stats_key(stats: RelationStatistics) -> Tuple:
 
     Cost-based choices are stable under small cardinality drift, so keying
     the cache on exact counts would turn every single-tuple delta — and every
-    ``Qc`` probe's answer-relation swap — into a miss.  Bucketing by bit
-    length replans only when a relation roughly doubles or halves; the cached
-    plan was costed with the first-seen exact statistics of its bucket, which
-    can only steer cost, never answers.
+    ``Qc`` probe's differently sized answer relation — into a miss.
+    Bucketing by bit length replans only when a relation roughly doubles or
+    halves; the cached plan was costed with the first-seen exact statistics
+    of its bucket, which can only steer cost, never answers.
     """
     return (
         stats.relation,

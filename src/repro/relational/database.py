@@ -355,14 +355,15 @@ class Relation:
     def replace_rows(self, rows: Iterable[Row]) -> None:
         """Replace the whole row set in place, skipping per-tuple validation.
 
-        This is the trusted bulk-update behind the reusable ``Qc`` probe view:
-        the caller guarantees ``rows`` are schema-valid plain tuples (e.g. rows
-        drawn from another relation, or the items of a
-        :class:`~repro.core.packages.Package` over the same schema).  The
-        mutation contract is preserved — the version counter is bumped, and as
-        a *bulk* mutation the cached indexes are dropped wholesale (point
-        mutations maintain them instead) — so index caches and the
-        compatibility oracle can never serve stale state through this path.
+        A trusted bulk update: the caller guarantees ``rows`` are schema-valid
+        plain tuples (e.g. rows drawn from another relation, or the items of a
+        :class:`~repro.core.packages.Package` over the same schema — how
+        :meth:`~repro.core.packages.Package.as_relation` loads the ``Qc``
+        probe's answer relation).  The mutation contract is preserved — the
+        version counter is bumped, and as a *bulk* mutation the cached indexes
+        are dropped wholesale (point mutations maintain them instead) — so
+        index caches and the compatibility oracle can never serve stale state
+        through this path.
         """
         self._check_direct_mutation("replace_rows")
         self._rows = set(rows)

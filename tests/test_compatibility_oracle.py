@@ -8,6 +8,9 @@ counting and top-k solvers are byte-identical with the cache on and off.
 
 from __future__ import annotations
 
+import itertools
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -250,63 +253,14 @@ def test_conjunction_footprint_is_the_union():
 
 
 # ---------------------------------------------------------------------------
-# The reusable probe view is restored even when a probe explodes
+# The Qc probe against the copy-per-probe reference
 # ---------------------------------------------------------------------------
-def test_failed_probe_restores_the_reusable_extended_view(items_database):
-    """A mid-probe exception must not leave the shared answer relation swapped.
-
-    The zero-copy probe evaluates ``Qc`` against a reusable extended database
-    whose answer relation is bulk-swapped to the candidate package.  Inject a
-    failure *during* the evaluation — a mixed-type comparison raising
-    ``TypeError`` once the swapped rows reach it — and check the view is
-    restored: the answer relation is empty again, and subsequent probes see
-    exactly the reference (copying) semantics.
-    """
-    qc = ConjunctiveQuery(
-        [Var("x")],
-        [RelationAtom("RQ", [Var("x"), Var("k")])],
-        [Comparison(ComparisonOp.LT, Var("x"), 5)],
-        name="exploding_qc",
-    )
-    constraint = QueryConstraint(qc)
-    schema = items_database.relation("items").schema.rename("RQ")
-    poisoned = Package(schema, [("not-an-int", "a")])  # "not-an-int" < 5 raises
-
-    with pytest.raises(TypeError):
-        constraint.is_satisfied(poisoned, items_database)
-
-    # The reusable view must have been restored by the finally-block ...
-    state = constraint._probe_state
-    assert len(state[1]) == 0, "answer relation left holding the failed package"
-    # ... so the next probe runs against a clean view and agrees with the
-    # per-probe copying reference.
-    clean = _package(items_database, 1, 2)
-    assert constraint.is_satisfied(clean, items_database) is False  # 1 < 5 matched
-    assert constraint.is_satisfied(clean, items_database) == (
-        constraint.is_satisfied_copying(clean, items_database)
-    )
+def _copying_reference(constraint, package, database):
+    """The reference semantics of ``Qc(N, D) = ∅``: copy ``D``, add ``N`` as ``RQ``."""
+    answer = package.as_relation(constraint.answer_relation)
+    return len(constraint.query.evaluate(database.with_relation(answer))) == 0
 
 
-def test_successful_probe_also_leaves_the_view_empty(items_database):
-    """Between probes the shared view never dangles the previous package."""
-    qc = ConjunctiveQuery(
-        [Var("x")],
-        [
-            RelationAtom("RQ", [Var("x"), Var("kx")]),
-            RelationAtom("RQ", [Var("y"), Var("ky")]),
-        ],
-        [Comparison(ComparisonOp.NE, Var("x"), Var("y"))],
-        name="Qc",
-    )
-    constraint = QueryConstraint(qc)
-    package = _package(items_database, 1, 2)
-    assert constraint.is_satisfied(package, items_database) is False  # 1 ≠ 2 found
-    assert len(constraint._probe_state[1]) == 0
-
-
-# ---------------------------------------------------------------------------
-# Overlay vs in-place vs copying probes (PR 6)
-# ---------------------------------------------------------------------------
 def _conflict_qc_database():
     database = Database()
     database.create_relation("items", ["iid", "kind"], [(1, "a"), (2, "b"), (3, "a")])
@@ -323,62 +277,149 @@ def _conflict_qc_database():
     return database, qc
 
 
+def test_failed_probe_leaves_the_database_untouched(items_database):
+    """A probe raising mid-evaluation changes nothing a later probe could see.
+
+    A mixed-type comparison raises ``TypeError`` once the package's rows reach
+    it.  The database keeps its version and its relation names, and the next
+    probe agrees with the copying reference.
+    """
+    qc = ConjunctiveQuery(
+        [Var("x")],
+        [RelationAtom("RQ", [Var("x"), Var("k")])],
+        [Comparison(ComparisonOp.LT, Var("x"), 5)],
+        name="exploding_qc",
+    )
+    constraint = QueryConstraint(qc)
+    schema = items_database.relation("items").schema.rename("RQ")
+    poisoned = Package(schema, [("not-an-int", "a")])  # "not-an-int" < 5 raises
+    version, names = items_database.version(), items_database.relation_names()
+
+    with pytest.raises(TypeError):
+        constraint.is_satisfied(poisoned, items_database)
+
+    assert items_database.version() == version
+    assert items_database.relation_names() == names
+    clean = _package(items_database, 1, 2)
+    assert constraint.is_satisfied(clean, items_database) is False  # 1 < 5 matched
+    assert _copying_reference(constraint, clean, items_database) is False
+
+
+def test_successful_probe_leaves_the_database_untouched(items_database):
+    """A probe that finds a violation leaves no trace of the package behind."""
+    qc = ConjunctiveQuery(
+        [Var("x")],
+        [
+            RelationAtom("RQ", [Var("x"), Var("kx")]),
+            RelationAtom("RQ", [Var("y"), Var("ky")]),
+        ],
+        [Comparison(ComparisonOp.NE, Var("x"), Var("y"))],
+        name="Qc",
+    )
+    constraint = QueryConstraint(qc)
+    package = _package(items_database, 1, 2)
+    version, names = items_database.version(), items_database.relation_names()
+    assert constraint.is_satisfied(package, items_database) is False  # 1 ≠ 2 found
+    assert items_database.version() == version
+    assert items_database.relation_names() == names
+    single = _package(items_database, 1)
+    assert constraint.is_satisfied(single, items_database) is True
+    assert _copying_reference(constraint, single, items_database) is True
+
+
 @pytest.mark.parametrize("iids", [(1,), (1, 2), (1, 3), (1, 2, 3), ()])
-def test_overlay_swap_and_copying_probes_agree(iids):
-    """All three probe paths return the same verdict on every package."""
+def test_live_and_snapshot_probes_match_the_reference(iids):
+    """The probe gives the reference verdict on a live database and a snapshot."""
     database, qc = _conflict_qc_database()
     package = _package(database, *iids)
-    swap = QueryConstraint(qc, use_snapshot_overlay=False)
-    overlay = QueryConstraint(qc, use_snapshot_overlay=True)
-    reference = QueryConstraint(qc).is_satisfied_copying(package, database)
-    assert swap.is_satisfied(package, database) is reference
-    assert overlay.is_satisfied(package, database) is reference
-
-
-def test_overlay_probe_mutates_nothing():
-    """The overlay path touches neither the constraint nor the database."""
-    database, qc = _conflict_qc_database()
-    constraint = QueryConstraint(qc, use_snapshot_overlay=True)
-    versions_before = database.version()
-    assert constraint.is_satisfied(_package(database, 1, 3), database) is False
-    assert database.version() == versions_before
-    assert "RQ" not in database
-    # No reusable swapped view was ever created.
-    assert getattr(constraint, "_probe_state", None) is None
-
-
-def test_snapshot_database_auto_selects_the_overlay_probe():
-    """Default ``use_snapshot_overlay=None``: snapshots probe via the overlay."""
-    database, qc = _conflict_qc_database()
-    snapshot = database.snapshot()
     constraint = QueryConstraint(qc)
-    package = _package(database, 1, 3)
-    assert constraint.is_satisfied(package, snapshot) is False
-    assert getattr(constraint, "_probe_state", None) is None  # overlay, no swap
-    # ... while the live database keeps the zero-copy swap fast path.
-    assert constraint.is_satisfied(package, database) is False
-    assert constraint._probe_state is not None
+    reference = _copying_reference(constraint, package, database)
+    version = database.version()
+    assert constraint.is_satisfied(package, database) is reference
+    assert constraint.is_satisfied(package, database.snapshot()) is reference
+    assert database.version() == version
+    assert "RQ" not in database
 
 
-def test_overlay_falls_back_to_copying_without_extra_relations_support():
-    """A query class without the ``extra_relations`` overlay still probes right."""
-    database, qc = _conflict_qc_database()
+class _BareQuery:
+    """A query implementing only the base ``evaluate(database)`` signature."""
 
-    class _BareQuery:
-        def __init__(self, inner):
-            self._inner = inner
+    def __init__(self, inner):
+        self._inner = inner
 
-        def evaluate(self, database):
-            return self._inner.evaluate(database)
+    def evaluate(self, database):
+        return self._inner.evaluate(database)
 
-        def __getattr__(self, name):
-            return getattr(self._inner, name)
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
 
-    constraint = QueryConstraint(_BareQuery(qc), use_snapshot_overlay=True)
-    assert constraint._query_accepts_extra_relations() is False
-    package = _package(database, 1, 3)
-    assert constraint.is_satisfied(package, database) is False
-    assert constraint.is_satisfied(_package(database, 1, 2), database) is True
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["live", "snapshot"])
+def test_bare_query_fallback_matches_the_reference(pinned):
+    """A query without the ``extra_relations`` overlay still probes right."""
+    live, qc = _conflict_qc_database()
+    database = live.snapshot() if pinned else live
+    constraint = QueryConstraint(_BareQuery(qc))
+    overlay = QueryConstraint(qc)
+    expected = {(1, 3): False, (1, 2): True, (2, 3): True, (): True}
+    for iids, verdict in expected.items():
+        package = _package(live, *iids)
+        assert constraint.is_satisfied(package, database) is verdict
+        assert overlay.is_satisfied(package, database) is verdict
+    assert "RQ" not in database
+
+
+def test_concurrent_probes_on_a_live_database_match_serial_verdicts():
+    """Threads sharing one constraint and one live database never interfere.
+
+    Every probe over the live database must return the serial verdict and
+    raise nothing, however finely the interpreter interleaves the threads.
+    """
+    database = Database()
+    database.create_relation("items", ["iid", "kind"], [(i, "k") for i in range(10)])
+    database.create_relation(
+        "conflict", ["left", "right"], [(i, (i * 3 + 1) % 10) for i in range(10)]
+    )
+    _, qc = _conflict_qc_database()
+    constraint = QueryConstraint(qc)
+    packages = [
+        _package(database, *iids)
+        for size in (1, 2, 3)
+        for iids in itertools.combinations(range(10), size)
+    ]
+    serial = [_copying_reference(constraint, package, database) for package in packages]
+    assert any(serial) and not all(serial)
+
+    threads_count = 4
+    wrong, errors = [], []
+    barrier = threading.Barrier(threads_count)
+
+    def worker(offset):
+        barrier.wait()
+        order = packages[offset:] + packages[:offset]
+        expected = serial[offset:] + serial[:offset]
+        for package, verdict in zip(order, expected):
+            try:
+                if constraint.is_satisfied(package, database) is not verdict:
+                    wrong.append(package)
+            except Exception as error:  # any exception is a failure
+                errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(i * len(packages) // threads_count,))
+            for i in range(threads_count)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert wrong == []
 
 
 def test_pinned_oracle_never_leaks_verdicts_across_epochs():

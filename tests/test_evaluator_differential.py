@@ -15,16 +15,13 @@ seed in the test id, so a mismatch is reproducible by construction.
 The cost-based planner of PR 4 added three knobs that may change *cost* but
 never answers — statistics-driven atom ordering, sorted-index range probes,
 and the Yannakakis semi-join reduction — and PR 5 a fourth, the
-worst-case-optimal multiway leapfrog join.  PR 6 added a fifth knob that is
-not a planner axis at all — ``use_snapshot_overlay`` evaluates against a
-pinned database snapshot instead of the live database, which on a quiescent
-database must be invisible.  PR 10 added a sixth, ``use_columnar`` — the
-vectorized columnar kernels, whose surfaced supersets are re-checked row by
-row so they too can change only cost.  The axes matrix below re-runs
-random pairs under every one of the 2⁶ knob combinations (including the
-all-off configuration, which is exactly the PR 1 planner evaluating the live
-database, and the multiway-off configuration, which is exactly the PR 4
-planner) against the
+worst-case-optimal multiway leapfrog join.  The fifth, ``use_columnar``,
+selects the vectorized columnar kernels, whose surfaced supersets are
+re-checked row by row so they too can change only cost.  The axes matrix
+below re-runs random pairs under every one of the 2⁵ knob combinations, each
+on the live database and on a pinned snapshot of it (including the all-off
+configuration on the live database, the statistics-blind planner, and the
+multiway-off configuration, the binary-join planner) against the
 same naive reference — once over the kit's generic conjunctions and once over
 its *cyclic* shapes (triangle, 4-cycle, star-with-chord), the workloads the
 multiway path exists for.  The generated databases are well-typed (every
@@ -75,12 +72,14 @@ def _naive_answer_rows(database, cq: ConjunctiveQuery):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(120))
 def test_cq_bindings_match_naive(seed):
+    """Planned ≡ naive, on the live database and on a pinned snapshot of it."""
     rng = random.Random(seed)
     database = random_database(rng)
     atoms, comparisons = random_conjunction(rng, database)
-    planned = _binding_multiset(enumerate_bindings(database, atoms, comparisons))
     naive = _binding_multiset(enumerate_bindings_naive(database, atoms, comparisons))
-    assert planned == naive
+    for source in (database, database.snapshot()):
+        planned = _binding_multiset(enumerate_bindings(source, atoms, comparisons))
+        assert planned == naive
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -131,35 +130,40 @@ def test_efo_evaluation_matches_naive_dnf(seed):
 
 
 # ---------------------------------------------------------------------------
-# Planner axes: the full 2⁶ knob matrix, on generic and cyclic scenarios
+# Planner axes: the full 2⁵ knob matrix, on generic and cyclic scenarios
 # ---------------------------------------------------------------------------
-# ``use_snapshot_overlay`` (PR 6) joins the four planner knobs: ``True``
-# enumerates against a freshly pinned DatabaseSnapshot instead of the live
-# database, which must be invisible on a quiescent database under every
-# combination of the other axes.  ``use_columnar`` (PR 10) forces the
+# ``use_columnar`` joins the four planner knobs: ``True`` forces the
 # vectorized selection kernels wherever a step compiled pushdowns; ``False``
 # compiles and runs without them.  All-off remains bit-identical to the PR 5
-# in-place reference.
+# reference.  The ``snapshot`` axis is not a knob: ``True`` enumerates
+# against a freshly pinned DatabaseSnapshot instead of the live database,
+# which on a quiescent database must be invisible under every combination
+# of the knobs.
 AXES_KNOBS = (
     "use_statistics",
     "use_range_probes",
     "use_semijoin",
     "use_multiway",
-    "use_snapshot_overlay",
     "use_columnar",
 )
+AXES = AXES_KNOBS + ("snapshot",)
 
 PLANNER_AXES = [
     pytest.param(
-        dict(zip(AXES_KNOBS, bits)),
+        dict(zip(AXES, bits)),
         id="pr1-baseline"
         if not any(bits)
-        else "+".join(
-            knob.replace("use_", "") for knob, bit in zip(AXES_KNOBS, bits) if bit
-        ),
+        else "+".join(axis.replace("use_", "") for axis, bit in zip(AXES, bits) if bit),
     )
-    for bits in itertools.product((False, True), repeat=len(AXES_KNOBS))
+    for bits in itertools.product((False, True), repeat=len(AXES))
 ]
+
+
+def _planned_under(axes, database, atoms, comparisons):
+    """The planned binding multiset under one point of the axes matrix."""
+    source = database.snapshot() if axes["snapshot"] else database
+    knobs = {knob: axes[knob] for knob in AXES_KNOBS}
+    return _binding_multiset(enumerate_bindings(source, atoms, comparisons, **knobs))
 
 
 @pytest.mark.parametrize("axes", PLANNER_AXES)
@@ -169,9 +173,7 @@ def test_planner_axes_match_naive(seed, axes):
     rng = random.Random(4_000 + seed)
     database = random_database(rng)
     atoms, comparisons = random_conjunction(rng, database)
-    planned = _binding_multiset(
-        enumerate_bindings(database, atoms, comparisons, **axes)
-    )
+    planned = _planned_under(axes, database, atoms, comparisons)
     naive = _binding_multiset(enumerate_bindings_naive(database, atoms, comparisons))
     assert planned == naive
 
@@ -184,9 +186,7 @@ def test_planner_axes_match_naive_on_cyclic_shapes(seed, shape, axes):
     rng = random.Random(6_000 + seed)
     database = random_cyclic_database(rng)
     atoms, comparisons = random_cyclic_conjunction(rng, database, shape)
-    planned = _binding_multiset(
-        enumerate_bindings(database, atoms, comparisons, **axes)
-    )
+    planned = _planned_under(axes, database, atoms, comparisons)
     naive = _binding_multiset(enumerate_bindings_naive(database, atoms, comparisons))
     assert planned == naive
 
@@ -286,7 +286,7 @@ def test_columnar_actually_compiles_on_generated_scenarios():
 def test_suite_covers_at_least_200_pairs():
     """The acceptance criterion: ≥200 generated query/database pairs."""
     assert 120 + 30 + 30 + 40 >= 200
-    # ... and the axes matrix re-proves planned ≡ naive under all 2⁶ knob
-    # combinations, on generic and cyclic scenarios alike.
-    assert len(PLANNER_AXES) == 2 ** 6
+    # ... and the axes matrix re-proves planned ≡ naive under all 2⁵ knob
+    # combinations, live and pinned, on generic and cyclic scenarios alike.
+    assert len(PLANNER_AXES) == 2 ** 5 * 2
     assert 12 * len(PLANNER_AXES) + 5 * len(CYCLIC_SHAPES) * len(PLANNER_AXES) == 1728

@@ -225,7 +225,7 @@ class TestRelationIndexes:
 
 
 class TestReplaceRows:
-    """Edge cases of the trusted bulk update behind the zero-copy Qc probe."""
+    """Edge cases of the trusted bulk update that loads the Qc answer relation."""
 
     def test_replace_rows_swaps_the_row_set(self, poi_relation):
         poi_relation.replace_rows({("louvre", "museum", 17)})
@@ -269,7 +269,7 @@ class TestReplaceRows:
         )
         package = Package(items.schema, [(1,)])
         assert oracle.is_satisfied(package) is True
-        allowed.replace_rows(set())  # same API the zero-copy Qc probe uses
+        allowed.replace_rows(set())  # a trusted bulk update is a mutation
         assert oracle.is_satisfied(package) is False  # stale verdict not served
         allowed.replace_rows({(1,)})
         assert oracle.is_satisfied(package) is True
