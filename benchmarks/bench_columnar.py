@@ -144,7 +144,7 @@ def test_range_tuple_set(benchmark, annotate, num_items):
     """The tuple-set baseline; the largest size runs only in the speedup gate."""
     database, atoms, comparisons = range_workload(num_items)
     annotate(group="columnar/range", variant="tuple set (row-at-a-time)", size=num_items)
-    _bindings(database, atoms, comparisons, **TUPLE_SET_AXES)  # warm the sorted index
+    _bindings(database, atoms, comparisons, **TUPLE_SET_AXES)  # warm the range-probe trie
     result = benchmark(lambda: _bindings(database, atoms, comparisons, **TUPLE_SET_AXES))
     assert result
 
@@ -174,7 +174,7 @@ def _measure_pair(workload_name: str, size: int, repeats: int = 3):
     """Time the tuple-set executor and the columnar path on one workload size.
 
     Both paths are warmed once untimed first, so the lazy structures each
-    relies on (the sorted index / the columnar encoding, plus statistics and
+    relies on (the range-probe trie / the columnar encoding, plus statistics and
     the plan cache entry) are built outside the measured region — the gate
     compares steady-state execution, which is what serving repeats.
     """

@@ -190,7 +190,7 @@ class _PreStateView:
         return rows
 
     def range_rows(self, position, op_symbol, bound) -> Optional[Tuple[Row, ...]]:
-        """Range probes delegate to the live relation's sorted index.
+        """Range probes delegate to the live relation's :meth:`~Relation.range_rows`.
 
         The one-row adjustment mirrors :meth:`probe`; when the extra row's
         value cannot be compared against the bound the whole probe declines

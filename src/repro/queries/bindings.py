@@ -14,7 +14,7 @@ Two evaluation paths are provided and kept semantically identical:
   whose atom carries constants or already-bound variables runs as a hash
   *index probe* against the relation's lazy index
   (:meth:`repro.relational.database.Relation.probe`) instead of a full scan;
-  a scan step with a ground one-sided comparison runs as a sorted-index
+  a scan step with a ground one-sided comparison runs as a trie-backed
   *range probe* (:meth:`repro.relational.database.Relation.range_rows`),
   for acyclic conjunctions whose statistics predict a large intermediate
   result a Yannakakis semi-join reduction prunes dangling tuples before the
@@ -694,7 +694,7 @@ def enumerate_bindings(
                 else None
             )
             if ranged is None:
-                # The sorted index cannot answer exactly: fall back to the scan
+                # The range probe cannot answer exactly: fall back to the scan
                 # (or its semi-join-reduced row set), preserving semantics.
                 rows = reduced_rows[depth] if reduced_rows is not None else relation
                 access_kind = "reduced-scan" if reduced_rows is not None else "scan"

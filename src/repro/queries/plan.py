@@ -32,7 +32,7 @@ function of the prefix alone and can be compiled once per evaluation:
 * a step with no probe positions but a *ground one-sided comparison* on one of
   the variables it binds (``price < 30`` with ``30`` a constant or an
   already-bound variable) carries a :class:`PlannedRange`: the executor
-  answers it through the relation's sorted index
+  answers it through the root level of the relation's one-position trie
   (:meth:`repro.relational.database.Relation.range_rows`) with two bisections
   instead of a scan.  The comparison stays in the schedule — the range probe
   is purely an access path, so semantics never depend on it;
@@ -119,7 +119,7 @@ SEMIJOIN_INTERMEDIATE_FACTOR = 4.0
 #: tuple-set loop wins.  Steers cost only — the knob can always override.
 COLUMNAR_MIN_ROWS = 1024
 
-#: Comparison operators a sorted index can answer with a contiguous range.
+#: Comparison operators a sorted trie level can answer with a contiguous range.
 _RANGE_OPS = (
     ComparisonOp.LT,
     ComparisonOp.LE,
@@ -157,7 +157,7 @@ class PlannedAtom:
     occupying them) whose values are known before the step runs — constants and
     variables bound earlier.  A non-empty probe means the executor uses a hash
     index lookup; with an empty probe, a non-``None`` ``range_probe`` means a
-    sorted-index range lookup, and otherwise the step is a full scan.
+    trie-backed range lookup, and otherwise the step is a full scan.
     ``new_variables`` are the variable names this step binds for the first
     time.
     """
@@ -174,7 +174,7 @@ class PlannedAtom:
     estimated_rows: Optional[float] = None
     #: Every ground one-sided comparison on this step's new variables, as
     #: range forms the columnar kernel can evaluate in one vectorized pass
-    #: (the sorted-index ``range_probe`` above carries only the *first* —
+    #: (the trie-backed ``range_probe`` above carries only the *first* —
     #: bisection answers a single contiguous range, a mask conjunction takes
     #: them all).  Pushed-down comparisons stay in the schedule: the kernel
     #: surfaces a superset and may decline, so semantics never depend on it.

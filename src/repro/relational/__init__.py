@@ -15,7 +15,7 @@ from repro.relational.errors import (
 )
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
 from repro.relational.database import AppliedDelta, Database, DatabaseSnapshot, Relation
-from repro.relational.statistics import RelationStatistics, SortedPositionIndex
+from repro.relational.statistics import RelationStatistics
 from repro.relational.algebra import (
     cartesian_product,
     difference,
@@ -38,7 +38,6 @@ __all__ = [
     "RelationSchema",
     "RelationStatistics",
     "ReproError",
-    "SortedPositionIndex",
     "SchemaError",
     "UnknownAttributeError",
     "UnknownRelationError",

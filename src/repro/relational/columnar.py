@@ -9,11 +9,11 @@ can run as a handful of vectorized operations over contiguous buffers
 (NumPy when importable, a pure-Python loop over the same columns otherwise)
 instead of one interpreter round-trip per row.
 
-The encoding is a lazy structure on
-:class:`~repro.relational.database.Relation` under the standing maintenance
-contract shared by the hash/sorted/trie indexes and the statistics:
+The encoding is one of the derived structures in
+:class:`~repro.relational.database.Relation`'s registry, under the
+maintenance contract it shares with the hash indexes, tries and statistics:
 
-* built on first use (:meth:`Relation.columnar`), cached on the relation;
+* built on first use (:meth:`Relation.columnar`), kept in the registry;
 * maintained *in place* by point mutations and ``apply_delta`` streams —
   :meth:`add` appends one row to every column, :meth:`remove` swap-removes
   it, both O(arity), so undo round-trips restore the exact encoded contents;
@@ -23,8 +23,8 @@ contract shared by the hash/sorted/trie indexes and the statistics:
   ``str``) — a mixed or unsupported column marks the whole encoding dead
   (:attr:`ok` false) and the tuple-set path stays the semantic reference.
 
-The families are deliberately *exact-type*, unlike the sorted indexes'
-numeric family: the encoding must round-trip values bit-exactly (``1`` must
+The families are deliberately *exact-type*, unlike the tries' numeric
+order family: the encoding must round-trip values bit-exactly (``1`` must
 never come back as ``1.0``), so ``bool``/``int``/``float`` are three
 distinct families here even though they compare numerically.
 

@@ -7,29 +7,27 @@ counterparts of the paper's item collection ``D``.
 Relations are set-semantics (no duplicates), matching the paper's model where
 packages are subsets of the query answer ``Q(D)``.
 
-Relations additionally maintain *lazy hash indexes*: for any tuple of
-attribute positions, :meth:`Relation.index_on` builds (once) and caches a map
-from position-values to the rows carrying them, and :meth:`Relation.probe`
-answers point lookups through it.  The join planner in
-:mod:`repro.queries.plan` uses these indexes to turn full relation scans into
-hash probes whenever a variable is already bound.  Three further lazy caches
-serve the cost-based planner: *sorted indexes*
-(:meth:`Relation.sorted_index_on` / :meth:`Relation.range_rows`) answer
-ground range predicates (``price < 30``) with bisections instead of scans,
-*composite trie indexes* (:meth:`Relation.trie_index_on`) nest several
-positions in a caller-chosen variable order for the worst-case-optimal
-multiway join, and *statistics* (:meth:`Relation.statistics`: cardinality
-plus per-position distinct counts and heavy-hitter frequencies) drive the
-planner's selectivity estimates.  Every mutation
-bumps the relation's :attr:`Relation.version`; point mutations
-(:meth:`Relation.add`, :meth:`Relation.discard`) additionally maintain all
-cached structures *in place* — the delta-maintenance subsystem streams
-single-tuple updates, and paying an O(rows) rebuild per update would defeat
-its O(|Δ|) budget — while bulk mutations (:meth:`Relation.clear`,
-:meth:`Relation.replace_rows`) drop them wholesale.  Either way a stale cache
-can never serve a query; caches keyed on database contents (e.g. the
-compatibility oracle) compare :meth:`Database.version` snapshots to detect
-change.
+Relations additionally keep *derived structures* built lazily from their
+rows, all in one registry per relation: hash indexes
+(:meth:`Relation.index_on`, behind :meth:`Relation.probe`) turn scans into
+probes whenever a variable is already bound; tries
+(:meth:`Relation.trie_index_on`) nest positions in a caller-chosen order for
+the worst-case-optimal multiway join, and the root of a one-position trie is
+the sorted index behind :meth:`Relation.range_rows`, which answers ground
+range predicates (``price < 30``) with bisections; the columnar encoding
+(:meth:`Relation.columnar`) feeds the vectorized kernels; and statistics
+(:meth:`Relation.statistics`: cardinality plus per-position distinct counts
+and heavy-hitter frequencies) drive the planner's estimates.  Every
+structure offers ``add(row)`` / ``remove(row)``.  Every mutation bumps the
+relation's :attr:`Relation.version`; point mutations (:meth:`Relation.add`,
+:meth:`Relation.discard`, and the commit path through the one trusted
+:meth:`Relation._mutate_point`) maintain every built structure *in place* —
+the delta-maintenance subsystem streams single-tuple updates, and paying an
+O(rows) rebuild per update would defeat its O(|Δ|) budget — while bulk
+mutations (:meth:`Relation.clear`, :meth:`Relation.replace_rows`) drop the
+registry.  Either way a stale structure can never serve a query; caches
+keyed on database contents (e.g. the compatibility oracle) compare
+:meth:`Database.version` snapshots to detect change.
 
 :meth:`Database.apply_delta` is the in-place transaction primitive on top:
 apply a set of modifications, get back an :class:`AppliedDelta` undo token.
@@ -41,10 +39,10 @@ committing transaction (:meth:`Database.apply_delta` or an
 :class:`AppliedDelta` undo) first performs **copy-on-write at relation
 granularity**: any relation referenced by a live snapshot is cloned before it
 is mutated, so the snapshot keeps the untouched original — including every
-lazy index and statistic ever built on it, which can never go stale because
+derived structure ever built on it, which can never go stale because
 the pinned relation objects are simply never mutated again — while relations
 no snapshot pinned are updated in place exactly as before.  Readers holding a
-snapshot therefore resolve rows, hash/sorted/trie indexes, statistics and
+snapshot therefore resolve rows, indexes, tries, statistics and
 (through the compatibility oracle's version checks) ``Qc`` verdicts against
 their pinned epoch, concurrently with a writer committing new epochs.  The
 copy-on-write guard covers the transactional write path only: direct
@@ -70,10 +68,21 @@ from repro.relational.columnar import ColumnarRelation
 from repro.relational.ordering import row_sort_key
 from repro.relational.schema import DatabaseSchema, RelationSchema, Value
 from repro.observability import metrics as _metrics
-from repro.relational.statistics import RelationStatistics, SortedPositionIndex, TrieIndex
+from repro.relational.statistics import (
+    HashIndex,
+    PositionCounts,
+    RelationStatistics,
+    TrieIndex,
+)
 from repro.resilience import faults as _faults
 
 Row = Tuple[Value, ...]
+
+#: Registry keys of the derived structures that are not hash indexes (a hash
+#: index is keyed by its position tuple; a trie by ``(_TRIE, positions)``).
+_TRIE = "trie"
+_COLUMNAR = "columnar"
+_STATISTICS = "statistics"
 
 #: The opt-in snapshot-safety guard (see :func:`set_snapshot_safety_guard`):
 #: when enabled, direct point/bulk mutations on a relation pinned by a live
@@ -173,22 +182,20 @@ class AppliedDelta:
 
 
 class Relation:
-    """A finite set of tuples over a :class:`RelationSchema`."""
+    """A finite set of tuples over a :class:`RelationSchema`.
 
-    __slots__ = (
-        "schema",
-        "_rows",
-        "_indexes",
-        "_sorted_indexes",
-        "_trie_indexes",
-        "_columnar",
-        "_stats",
-        "_stats_max",
-        "_stats_snapshot",
-        "_version",
-        "_pinned_by",
-        "__weakref__",
-    )
+    Everything derived from the rows — hash indexes, tries, the columnar
+    encoding, statistics — lives in one registry dict, ``_derived``, keyed
+    per structure (a hash index under its position tuple, a trie under
+    ``("trie", positions)``, the encoding and the statistics under a name).
+    Every structure is built from the rows on first use and offers
+    ``add(row)`` / ``remove(row)``, so the relation maintains all of them
+    through one loop (:meth:`_mutate_point`) and drops them all at once on a
+    bulk mutation.  Adding a structure means adding its class and its
+    registry key.
+    """
+
+    __slots__ = ("schema", "_rows", "_derived", "_version", "_pinned_by", "__weakref__")
 
     def __init__(self, schema: RelationSchema, rows: Iterable[Sequence[Value]] = ()) -> None:
         self.schema = schema
@@ -198,16 +205,7 @@ class Relation:
         #: database's snapshot registry, not this set.
         self._pinned_by: "weakref.WeakSet" = weakref.WeakSet()
         self._rows: Set[Row] = set()
-        self._indexes: Dict[Tuple[int, ...], Dict[Tuple[Value, ...], Tuple[Row, ...]]] = {}
-        self._sorted_indexes: Dict[int, SortedPositionIndex] = {}
-        self._trie_indexes: Dict[Tuple[int, ...], TrieIndex] = {}
-        self._columnar: Optional[ColumnarRelation] = None
-        self._stats: Optional[list] = None
-        #: Per-position max frequency, maintained alongside ``_stats``; a
-        #: ``None`` entry is dirty (a deletion removed a row of the maximal
-        #: value) and is recomputed lazily at the next snapshot.
-        self._stats_max: Optional[list] = None
-        self._stats_snapshot: Optional[Tuple[int, RelationStatistics]] = None
+        self._derived: Dict[object, object] = {}
         self._version = 0
         for row in rows:
             self.add(row)
@@ -241,89 +239,43 @@ class Relation:
     def _mutated(self) -> None:
         """Record a bulk change to the row set: bump the version, drop caches."""
         self._version += 1
-        if self._indexes:
-            self._indexes.clear()
-        if self._sorted_indexes:
-            self._sorted_indexes.clear()
-        if self._trie_indexes:
-            self._trie_indexes.clear()
-        self._columnar = None
-        self._stats = None
-        self._stats_max = None
+        self._derived.clear()
 
-    def _index_added_row(self, row: Row) -> None:
-        """Fold one inserted row into every cached index (O(indexes), not O(rows))."""
-        for key, index in self._indexes.items():
-            values = tuple(row[p] for p in key)
-            index[values] = index.get(values, ()) + (row,)
+    def _mutate_point(self, row: Row, insert: bool, version_step: int = 1) -> bool:
+        """The trusted point mutation: insert or delete one validated row.
 
-    def _index_removed_row(self, row: Row) -> None:
-        """Remove one row from every cached index."""
-        for key, index in self._indexes.items():
-            values = tuple(row[p] for p in key)
-            bucket = tuple(r for r in index.get(values, ()) if r != row)
-            if bucket:
-                index[values] = bucket
-            else:
-                index.pop(values, None)
-
-    def _caches_added_row(self, row: Row) -> None:
-        """Maintain every lazy cache in place after one point insertion."""
-        if self._indexes:
-            self._index_added_row(row)
-        for position, index in self._sorted_indexes.items():
-            index.add(row[position])
-        for trie in self._trie_indexes.values():
-            trie.add(row)
-        if self._columnar is not None:
-            self._columnar.add(row)
-        if self._stats is not None:
-            for position, counts in enumerate(self._stats):
-                value = row[position]
-                count = counts.get(value, 0) + 1
-                counts[value] = count
-                current = self._stats_max[position]
-                if current is not None and count > current:
-                    self._stats_max[position] = count
-
-    def _caches_removed_row(self, row: Row) -> None:
-        """Maintain every lazy cache in place after one point deletion."""
-        if self._indexes:
-            self._index_removed_row(row)
-        for position, index in self._sorted_indexes.items():
-            index.remove(row[position])
-        for trie in self._trie_indexes.values():
-            trie.remove(row)
-        if self._columnar is not None:
-            self._columnar.remove(row)
-        if self._stats is not None:
-            for position, counts in enumerate(self._stats):
-                value = row[position]
-                remaining = counts.get(value, 0) - 1
-                if remaining > 0:
-                    counts[value] = remaining
-                else:
-                    counts.pop(value, None)
-                # Removing a row of the maximal value may or may not lower
-                # the max (another value can share it); mark the position
-                # dirty and recompute lazily at the next snapshot, keeping
-                # the per-delta maintenance cost O(arity).
-                if self._stats_max[position] == remaining + 1:
-                    self._stats_max[position] = None
+        Returns whether the row set changed.  On a change the version moves
+        by ``version_step`` and every built structure folds the row in place
+        (O(structures), not O(rows)) — a stream of single-tuple deltas never
+        pays a rebuild.  The commit path calls this directly; its unwind
+        passes ``version_step=-1`` to wind the counter back.
+        """
+        rows = self._rows
+        if insert:
+            if row in rows:
+                return False
+            rows.add(row)
+            for structure in self._derived.values():
+                structure.add(row)
+        else:
+            if row not in rows:
+                return False
+            rows.remove(row)
+            for structure in self._derived.values():
+                structure.remove(row)
+        self._version += version_step
+        return True
 
     def add(self, row: Sequence[Value]) -> Row:
         """Insert a tuple (validated against the schema) and return it.
 
-        A *point* mutation: the version is bumped and the cached hash indexes
-        are maintained in place (the row is folded into each bucket), so a
-        stream of single-tuple deltas never pays an O(rows) index rebuild.
+        A *point* mutation: the version is bumped and every built structure
+        is maintained in place (:meth:`_mutate_point`).
         """
         validated = self.schema.validate_tuple(row)
         if validated not in self._rows:
             self._check_direct_mutation("add")
-            self._rows.add(validated)
-            self._version += 1
-            self._caches_added_row(validated)
+            self._mutate_point(validated, True)
         return validated
 
     def add_all(self, rows: Iterable[Sequence[Value]]) -> None:
@@ -334,15 +286,12 @@ class Relation:
     def discard(self, row: Sequence[Value]) -> bool:
         """Remove a tuple if present; return whether it was present.
 
-        Like :meth:`add`, maintains the cached indexes in place.
+        Like :meth:`add`, maintains every built structure in place.
         """
         validated = self.schema.validate_tuple(row)
         if validated in self._rows:
             self._check_direct_mutation("discard")
-            self._rows.remove(validated)
-            self._version += 1
-            self._caches_removed_row(validated)
-            return True
+            return self._mutate_point(validated, False)
         return False
 
     def clear(self) -> None:
@@ -360,8 +309,8 @@ class Relation:
         :class:`~repro.core.packages.Package` over the same schema — how
         :meth:`~repro.core.packages.Package.as_relation` loads the ``Qc``
         probe's answer relation).  The mutation contract is preserved — the
-        version counter is bumped, and as a *bulk* mutation the cached indexes
-        are dropped wholesale (point mutations maintain them instead) — so
+        version counter is bumped, and as a *bulk* mutation every derived
+        structure is dropped (point mutations maintain them instead) — so
         index caches and the compatibility oracle can never serve stale state
         through this path.
         """
@@ -369,7 +318,7 @@ class Relation:
         self._rows = set(rows)
         self._mutated()
 
-    # -- hash indexes -----------------------------------------------------------
+    # -- derived structures -----------------------------------------------------
     @property
     def version(self) -> int:
         """A counter incremented on every mutation of the row set.
@@ -394,21 +343,16 @@ class Relation:
     ) -> Mapping[Tuple[Value, ...], Tuple[Row, ...]]:
         """The hash index on ``positions``: position-values → rows carrying them.
 
-        Built on first use and cached; point mutations keep it current in
-        place, bulk mutations drop it for a lazy rebuild.  An empty
-        ``positions`` tuple is rejected — that would be a full copy of the
-        relation masquerading as an index.
+        Built on first use and kept in the registry under ``positions``.  An
+        empty ``positions`` tuple is rejected — that would be a full copy of
+        the relation masquerading as an index.
         """
         key = self._validated_positions(positions)
         if not key:
             raise SchemaError(f"relation {self.name!r}: cannot index on zero positions")
-        index = self._indexes.get(key)
+        index = self._derived.get(key)
         if index is None:
-            buckets: Dict[Tuple[Value, ...], list] = {}
-            for row in self._rows:
-                buckets.setdefault(tuple(row[p] for p in key), []).append(row)
-            index = {values: tuple(rows) for values, rows in buckets.items()}
-            self._indexes[key] = index
+            index = self._derived[key] = HashIndex(key, self._rows)
         return index
 
     def index_on_attributes(
@@ -422,34 +366,15 @@ class Relation:
         return self.index_on(positions).get(tuple(values), ())
 
     def indexed_position_sets(self) -> Tuple[Tuple[int, ...], ...]:
-        """The position tuples currently carrying a cached index (for tests/stats)."""
-        return tuple(sorted(self._indexes))
+        """The position tuples currently carrying a hash index (for tests/stats)."""
+        return tuple(sorted(s.positions for s in self._derived.values() if type(s) is HashIndex))
 
     def invalidate_indexes(self) -> None:
-        """Drop every cached index (hash, sorted, trie, columnar); rows untouched."""
-        self._indexes.clear()
-        self._sorted_indexes.clear()
-        self._trie_indexes.clear()
-        self._columnar = None
+        """Drop every derived structure (indexes, tries, encoding, statistics).
 
-    # -- sorted indexes and statistics ------------------------------------------
-    def sorted_index_on(self, position: int) -> SortedPositionIndex:
-        """The sorted index on ``position``: distinct values in bisectable order.
-
-        Built on first use and cached under the same contract as the hash
-        indexes — point mutations maintain it in place, bulk mutations drop
-        it.  The planner's range probes drive it through :meth:`range_rows`.
+        The rows are untouched; each structure rebuilds on its next use.
         """
-        (key,) = self._validated_positions((position,))
-        index = self._sorted_indexes.get(key)
-        if index is None:
-            index = SortedPositionIndex(row[key] for row in self._rows)
-            self._sorted_indexes[key] = index
-        return index
-
-    def sorted_indexed_positions(self) -> Tuple[int, ...]:
-        """The positions currently carrying a cached sorted index (for tests)."""
-        return tuple(sorted(self._sorted_indexes))
+        self._derived.clear()
 
     def trie_index_on(self, positions: Sequence[int]) -> TrieIndex:
         """The composite trie index nesting ``positions`` in the given order.
@@ -458,25 +383,23 @@ class Relation:
         ``i`` of the trie holds the sorted distinct values of
         ``positions[i]`` among the rows matching the path so far, so the
         leapfrog executor can intersect one level per participating atom.
-        Built on first use and cached per position *order* (the same
-        positions in a different order are a different trie), under the same
-        contract as every other lazy cache — point mutations maintain it in
-        place, bulk mutations drop it.  A value outside the orderable
-        families at any level marks the trie dead (:attr:`TrieIndex.ok`
-        false) and the executor falls back to the binary plan.
+        Built on first use and kept per position *order* (the same positions
+        in a different order are a different trie).  A value outside the
+        orderable families at any level marks the trie dead
+        (:attr:`TrieIndex.ok` false) and the executor falls back to the
+        binary plan.
         """
         key = self._validated_positions(positions)
         if not key:
             raise SchemaError(f"relation {self.name!r}: cannot build a trie on zero positions")
-        trie = self._trie_indexes.get(key)
+        trie = self._derived.get((_TRIE, key))
         if trie is None:
-            trie = TrieIndex(key, self._rows)
-            self._trie_indexes[key] = trie
+            trie = self._derived[(_TRIE, key)] = TrieIndex(key, self._rows)
         return trie
 
     def trie_indexed_position_sets(self) -> Tuple[Tuple[int, ...], ...]:
-        """The position tuples currently carrying a cached trie (for tests)."""
-        return tuple(sorted(self._trie_indexes))
+        """The position tuples currently carrying a trie (for tests)."""
+        return tuple(sorted(s.positions for s in self._derived.values() if type(s) is TrieIndex))
 
     def columnar(self) -> Optional[ColumnarRelation]:
         """The columnar encoding, or ``None`` when it declines.
@@ -484,17 +407,15 @@ class Relation:
         The vectorized access path behind the executor's ``use_columnar``
         knob: stdlib ``array`` columns (dictionary-encoded strings) the
         selection kernels run over instead of the tuple set.  Built on first
-        use and cached under the standard contract — point mutations maintain
-        it in place (O(arity) append / swap-remove), bulk mutations drop it —
-        and a value family it cannot encode exactly marks it dead: the dead
-        encoding is kept (so the decline is not re-derived per query) but
-        this accessor answers ``None`` and the executor stays on the
-        tuple-set reference path.
+        use and maintained in place (O(arity) append / swap-remove); a value
+        family it cannot encode exactly marks it dead: the dead encoding is
+        kept (so the decline is not re-derived per query) but this accessor
+        answers ``None`` and the executor stays on the tuple-set reference
+        path.
         """
-        encoding = self._columnar
+        encoding = self._derived.get(_COLUMNAR)
         if encoding is None:
-            encoding = ColumnarRelation(self.schema.arity, self._rows)
-            self._columnar = encoding
+            encoding = self._derived[_COLUMNAR] = ColumnarRelation(self.schema.arity, self._rows)
             active = _metrics._ACTIVE
             if active is not None:
                 active.inc("columnar.builds" if encoding.ok else "columnar.declines")
@@ -506,13 +427,17 @@ class Relation:
         """All rows whose ``position`` value satisfies ``value <op> bound``.
 
         The access path behind the planner's range probes: two bisections on
-        the sorted index select the qualifying distinct values, and the hash
-        index on ``position`` supplies their rows.  Returns ``None`` when the
-        sorted index cannot answer exactly (mixed-type column, unsupported
-        value family) — the caller must fall back to a scan, which reproduces
-        the reference semantics including any ``TypeError``.
+        the root level of the one-position trie select the qualifying
+        distinct values, and the hash index on ``position`` supplies their
+        rows.  Returns ``None`` when the trie cannot answer exactly (a bound
+        of another type family, a dead trie, a mixed-type column) — the
+        caller must fall back to a scan, which reproduces the reference
+        semantics including any ``TypeError``.
         """
-        values = self.sorted_index_on(position).range_values(op_symbol, bound)
+        trie = self.trie_index_on((position,))
+        if not trie.ok:
+            return None
+        values = trie.root.range_values(op_symbol, bound)
         if values is None:
             return None
         buckets = self.index_on((position,))
@@ -524,40 +449,18 @@ class Relation:
     def statistics(self) -> RelationStatistics:
         """A snapshot of cardinality, per-position distinct counts and degrees.
 
-        The backing per-position value counts are built lazily on first use
-        and maintained in place by point mutations (bulk mutations drop
-        them), so a stream of single-tuple deltas keeps statistics current in
-        O(arity) per update.  The snapshot itself is immutable and hashable —
-        the plan cache keys compiled plans on it — and is memoized per
-        version, so repeated probes of an unchanged relation pay nothing for
-        the per-position max-frequency maximums.
+        The backing :class:`PositionCounts` is built on first use and
+        maintained in O(arity) per point mutation.  The snapshot itself is
+        immutable and hashable — the plan cache keys compiled plans on it —
+        and memoized until the next mutation, so repeated probes of an
+        unchanged relation pay nothing for the per-position maximums.
         """
-        snapshot = self._stats_snapshot
-        if snapshot is not None and snapshot[0] == self._version:
-            return snapshot[1]
-        if self._stats is None:
-            counts: list = [dict() for _ in range(self.schema.arity)]
-            for row in self._rows:
-                for position, value in enumerate(row):
-                    column = counts[position]
-                    column[value] = column.get(value, 0) + 1
-            # ``_stats_max`` before ``_stats``: a concurrent reader (a pinned
-            # snapshot shares frozen relations across threads) that observes
-            # ``_stats`` non-None must never find ``_stats_max`` still None.
-            self._stats_max = [None] * self.schema.arity
-            self._stats = counts
-        maxes = self._stats_max
-        for position, current in enumerate(maxes):
-            if current is None:  # fresh build, or dirtied by a deletion
-                maxes[position] = max(self._stats[position].values(), default=0)
-        stats = RelationStatistics(
-            self.name,
-            len(self._rows),
-            tuple(len(column) for column in self._stats),
-            tuple(maxes),
-        )
-        self._stats_snapshot = (self._version, stats)
-        return stats
+        counts = self._derived.get(_STATISTICS)
+        if counts is None:
+            schema = self.schema
+            counts = PositionCounts(schema.name, schema.arity, self._rows)
+            self._derived[_STATISTICS] = counts
+        return counts.snapshot()
 
     # -- queries ---------------------------------------------------------------
     @property
@@ -620,21 +523,15 @@ class Relation:
         the clone replaces the original inside the live database, and caches
         keyed on :meth:`Database.version` snapshots (the compatibility oracle)
         must not observe time jumping when the swap itself changed no rows.
-        Rows are shared as a fresh set over the same tuples; every lazy cache
-        starts empty (the original keeps its built indexes for its snapshot
-        readers, the clone rebuilds on demand for the live writer).
+        Rows are shared as a fresh set over the same tuples; the registry
+        starts empty (the original keeps its built structures for its
+        snapshot readers, the clone rebuilds on demand for the live writer).
         """
         clone = Relation.__new__(Relation)
         clone.schema = self.schema
         clone._pinned_by = weakref.WeakSet()  # the clone is, by construction, unpinned
         clone._rows = set(self._rows)
-        clone._indexes = {}
-        clone._sorted_indexes = {}
-        clone._trie_indexes = {}
-        clone._columnar = None
-        clone._stats = None
-        clone._stats_max = None
-        clone._stats_snapshot = None
+        clone._derived = {}
         clone._version = self._version
         return clone
 
@@ -753,7 +650,11 @@ class Database:
         return tuple((name, relation.version) for name, relation in self._relations.items())
 
     def invalidate_indexes(self) -> None:
-        """Drop every cached hash index in every relation (rows are untouched)."""
+        """Drop every derived structure in every relation (rows are untouched).
+
+        Hash indexes, tries, columnar encodings and statistics all go; each
+        rebuilds on its next use.
+        """
         for relation in self._relations.values():
             relation.invalidate_indexes()
 
@@ -924,18 +825,8 @@ class Database:
                 for kind, name, row in validated:
                     relation = self._relations[name]
                     _faults.fault_point("commit.modification")
-                    if kind == _DELTA_INSERT:
-                        if row not in relation._rows:
-                            relation._rows.add(row)
-                            relation._version += 1
-                            relation._caches_added_row(row)
-                            effective.append((kind, name, row))
-                    else:
-                        if row in relation._rows:
-                            relation._rows.remove(row)
-                            relation._version += 1
-                            relation._caches_removed_row(row)
-                            effective.append((kind, name, row))
+                    if relation._mutate_point(row, kind == _DELTA_INSERT):
+                        effective.append((kind, name, row))
                 if effective:
                     self._epoch += 1
                     epoch_bumped = True
@@ -991,14 +882,7 @@ class Database:
         """
         for kind, name, row in reversed(effective):
             _faults.fault_point(_FAULT_COMMIT_UNWIND)
-            relation = self._relations[name]
-            if kind == _DELTA_INSERT:
-                relation._rows.remove(row)
-                relation._caches_removed_row(row)
-            else:
-                relation._rows.add(row)
-                relation._caches_added_row(row)
-            relation._version -= 1
+            self._relations[name]._mutate_point(row, kind != _DELTA_INSERT, -1)
         if epoch_bumped:
             self._epoch -= 1
 

@@ -1,61 +1,63 @@
-"""Maintained relation statistics, sorted per-position indexes and tries.
+"""The derived structures a relation maintains: statistics, hash indexes, tries.
 
-The cost-based join planner (:mod:`repro.queries.plan`) needs three things
-from the storage layer that the lazy hash indexes cannot provide:
+Every structure here is built from a relation's rows and kept in the
+relation's one derived-structure registry
+(:class:`~repro.relational.database.Relation`).  Each has the same small
+surface — a constructor that builds it from the rows, ``add(row)`` and
+``remove(row)`` for point maintenance, and ``ok`` where it can decline — so
+the relation maintains all of them through one loop: point mutations update
+every built structure in place, bulk mutations drop the registry for a lazy
+rebuild.
 
 * **Statistics** — how many rows a relation holds, how many *distinct*
   values each attribute position carries, and how often the *most frequent*
   value of each position occurs (the heavy-hitter degree bound behind the
-  planner's worst-case intermediate estimates).  :class:`RelationStatistics`
-  is the immutable snapshot the planner consumes; the backing per-position
-  value counts live on the :class:`~repro.relational.database.Relation` and
-  follow the same maintenance contract as the hash indexes (point mutations
-  update them in place, bulk mutations drop them for a lazy rebuild).
+  planner's worst-case intermediate estimates).  :class:`PositionCounts` is
+  the maintained backing; :class:`RelationStatistics` is the immutable
+  snapshot the planner (:mod:`repro.queries.plan`) consumes.
 
-* **Sorted indexes** — a :class:`SortedPositionIndex` keeps the distinct
-  values of one attribute position in sorted order so a ground one-sided
-  comparison (``price < 30``, ``start >= d``) can be answered with two
-  bisections instead of a full scan.  Row retrieval for the values inside the
-  range goes through the relation's existing hash index on that position, so
-  the two index families share their buckets.
+* **Hash indexes** — a :class:`HashIndex` maps the values at some positions
+  to the rows carrying them; the executor's probes are one lookup in it.
 
-* **Composite trie indexes** — a :class:`TrieIndex` nests the distinct values
-  of *several* attribute positions, in a caller-chosen variable order, with
-  the values at every level kept sorted.  This is the storage side of the
-  worst-case-optimal multiway join: the leapfrog executor intersects the
-  sorted child lists of one trie level per participating atom instead of
-  materialising binary intermediate results.
+* **Tries** — a :class:`TrieIndex` nests the distinct values of one or more
+  attribute positions, in a caller-chosen variable order, with the values at
+  every level kept sorted.  This is the storage side of the worst-case-optimal
+  multiway join: the leapfrog executor intersects the sorted child lists of
+  one trie level per participating atom instead of materialising binary
+  intermediate results.  The root of a one-position trie is also the sorted
+  index behind range probes: :meth:`TrieNode.range_values` answers a ground
+  one-sided comparison (``price < 30``) with two bisections, and the rows
+  come from the hash index on that position.
 
 Range probes must be *exactly* equivalent to post-filtering a scan, including
 error behaviour: a scan over a column mixing strings and numbers raises
-``TypeError`` when the comparison is evaluated, so
-:meth:`SortedPositionIndex.range_values` refuses (returns ``None``) unless the
-whole column shares the probe value's type family.  Only numbers
-(bool/int/float compare numerically) and strings are served; anything else —
-tuples, user objects, NaN — permanently disables the index until the next
-rebuild and the executor falls back to scanning.  :class:`TrieIndex` follows
-the same honesty rule: a value outside the supported families at *any* level
-marks the whole trie dead (:attr:`TrieIndex.ok` false) so the multiway
-executor declines and the binary plan reproduces reference semantics.
+``TypeError`` when the comparison is evaluated, so a trie level holds one
+type family only and :meth:`TrieNode.range_values` refuses (returns ``None``)
+a bound of another family.  Only numbers (bool/int/float compare
+numerically) and strings are ordered; a value outside those families — or a
+level mixing them — at *any* level marks the whole trie dead
+(:attr:`TrieIndex.ok` false) until the next rebuild, so range probes fall
+back to the scan and the multiway executor to the binary plan, both of which
+reproduce reference semantics.
 
-Under snapshot isolation (PR 6) all three structures double as *per-epoch*
-caches for free: a :class:`~repro.relational.database.DatabaseSnapshot` pins
-its relation objects, the commit path's copy-on-write guarantees a pinned
-relation is never mutated again, so any statistics snapshot, sorted index or
-trie built through a snapshot describes its pinned epoch forever and may be
-shared between reader threads without invalidation.  The maintenance contract
-above applies to the *live* relation (or its copy-on-write clone) only.
+Under snapshot isolation all structures double as *per-epoch* caches for
+free: a :class:`~repro.relational.database.DatabaseSnapshot` pins its
+relation objects, the commit path's copy-on-write guarantees a pinned
+relation is never mutated again, so any structure built through a snapshot
+describes its pinned epoch forever and may be shared between reader threads
+without invalidation.  The maintenance contract above applies to the *live*
+relation (or its copy-on-write clone) only.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.relational.schema import Value
 
-#: Type families a sorted index can order totally and consistently with the
+#: Type families a trie level can order totally and consistently with the
 #: comparison predicates' own semantics.  ``bool`` joins the numeric family
 #: because Python compares it numerically (``True < 30``).
 _TAG_NUMBER = "num"
@@ -63,7 +65,7 @@ _TAG_STRING = "str"
 
 
 def order_key(value: Value) -> Optional[Tuple[str, Value]]:
-    """The sorted-index key of a value, or ``None`` when unsupported.
+    """The trie-level sort key of a value, or ``None`` when unsupported.
 
     Supported values map to ``(family, value)`` pairs: all numbers compare
     numerically within the ``num`` family (so ``1``, ``1.0`` and ``True`` sort
@@ -123,119 +125,110 @@ class RelationStatistics:
         return self.cardinality
 
 
-class SortedPositionIndex:
-    """The distinct values of one attribute position, in sorted order.
+class PositionCounts:
+    """Per-position value counts: the maintained backing of :class:`RelationStatistics`.
 
-    Mirrors the hash-index maintenance contract: built once from the live
-    rows, then :meth:`add`/:meth:`remove` keep it current under point
-    mutations (a value insertion/removal costs one bisect plus an O(distinct)
-    list shift — far below the O(rows log rows) rebuild), while bulk mutations
-    drop the whole index.  Values whose type family is unsupported mark the
-    index dead (:attr:`ok` false) rather than corrupting the order; a dead
-    index answers every range query with ``None`` and the executor scans.
+    Built completely from the rows before the relation stores it, so a
+    concurrent reader of a pinned relation finds either no counts or a whole
+    object, never one half-initialised.  Point maintenance is O(arity): an
+    insertion can only raise a position's max-frequency, while a deletion of
+    a row carrying the maximal value may or may not lower it (another value
+    can share it), so that position is marked dirty (``None``) and
+    recomputed at the next :meth:`snapshot`.
     """
 
-    __slots__ = ("_counts", "_keys", "_values", "_ok")
+    __slots__ = ("relation", "cardinality", "_counts", "_maxes", "_snapshot")
 
-    def __init__(self, values: Iterable[Value] = ()) -> None:
-        self._counts: Dict[Value, int] = {}
-        self._ok = True
-        for value in values:
-            self._counts[value] = self._counts.get(value, 0) + 1
-        keyed: List[Tuple[Tuple[str, Value], Value]] = []
-        for value in self._counts:
-            key = order_key(value)
-            if key is None:
-                self._mark_dead()
-                return
-            keyed.append((key, value))
-        keyed.sort(key=lambda pair: pair[0])
-        self._keys: List[Tuple[str, Value]] = [key for key, _ in keyed]
-        self._values: List[Value] = [value for _, value in keyed]
+    def __init__(self, relation: str, arity: int, rows: Collection[Sequence[Value]] = ()) -> None:
+        counts: List[Dict[Value, int]] = []
+        for position in range(arity):
+            column: Dict[Value, int] = {}
+            for row in rows:
+                value = row[position]
+                column[value] = column.get(value, 0) + 1
+            counts.append(column)
+        self.relation = relation
+        self.cardinality = len(rows)
+        self._counts = counts
+        #: ``None`` marks a position whose max-frequency is recomputed at
+        #: the next :meth:`snapshot` (every position, after a build).
+        self._maxes: List[Optional[int]] = [None] * arity
+        self._snapshot: Optional[RelationStatistics] = None
 
-    def _mark_dead(self) -> None:
-        self._ok = False
-        self._keys = []
-        self._values = []
+    def add(self, row: Sequence[Value]) -> None:
+        """Count one inserted row."""
+        self.cardinality += 1
+        self._snapshot = None
+        maxes = self._maxes
+        for position, counts in enumerate(self._counts):
+            value = row[position]
+            count = counts.get(value, 0) + 1
+            counts[value] = count
+            current = maxes[position]
+            if current is not None and count > current:
+                maxes[position] = count
 
-    @property
-    def ok(self) -> bool:
-        """Whether the index can serve range queries at all."""
-        return self._ok
+    def remove(self, row: Sequence[Value]) -> None:
+        """Uncount one deleted row."""
+        self.cardinality -= 1
+        self._snapshot = None
+        maxes = self._maxes
+        for position, counts in enumerate(self._counts):
+            value = row[position]
+            remaining = counts.get(value, 0) - 1
+            if remaining > 0:
+                counts[value] = remaining
+            else:
+                counts.pop(value, None)
+            if maxes[position] == remaining + 1:
+                maxes[position] = None
 
-    def __len__(self) -> int:
-        """Number of distinct values currently indexed."""
-        return len(self._counts)
+    def snapshot(self) -> RelationStatistics:
+        """The immutable statistics, memoized until the next point mutation."""
+        stats = self._snapshot
+        if stats is None:
+            maxes = self._maxes
+            counts = self._counts
+            for position, current in enumerate(maxes):
+                if current is None:
+                    maxes[position] = max(counts[position].values(), default=0)
+            stats = RelationStatistics(
+                self.relation, self.cardinality, tuple(map(len, counts)), tuple(maxes)
+            )
+            self._snapshot = stats
+        return stats
 
-    # -- point maintenance ---------------------------------------------------
-    def add(self, value: Value) -> None:
-        """Record one more row carrying ``value`` at the indexed position."""
-        count = self._counts.get(value, 0)
-        self._counts[value] = count + 1
-        if count or not self._ok:
-            return
-        key = order_key(value)
-        if key is None:
-            self._mark_dead()
-            return
-        index = bisect_left(self._keys, key)
-        self._keys.insert(index, key)
-        self._values.insert(index, value)
 
-    def remove(self, value: Value) -> None:
-        """Record one fewer row carrying ``value`` at the indexed position."""
-        count = self._counts.get(value, 0)
-        if count > 1:
-            self._counts[value] = count - 1
-            return
-        self._counts.pop(value, None)
-        if not self._ok or count == 0:
-            return
-        key = order_key(value)
-        if key is None:  # pragma: no cover - dead indexes never stored the key
-            return
-        index = bisect_left(self._keys, key)
-        # Numerically equal values of different types (1, 1.0) share a key;
-        # dict-equal values collapse to one entry, so the first key match with
-        # an equal stored value is ours.
-        while index < len(self._keys) and self._keys[index] == key:
-            if self._values[index] == value:
-                del self._keys[index]
-                del self._values[index]
-                return
-            index += 1  # pragma: no cover - equal values collapse in _counts
+class HashIndex(dict):
+    """Position-values → the rows carrying them: the relation's hash index.
 
-    # -- range queries -------------------------------------------------------
-    def range_values(self, op_symbol: str, bound: Value) -> Optional[List[Value]]:
-        """Distinct values satisfying ``value <op> bound``, sorted ascending.
+    A plain ``dict`` to its readers, so a probe stays one dictionary lookup;
+    :meth:`add` and :meth:`remove` fold a point mutation into one bucket.
+    """
 
-        Returns ``None`` when the index cannot answer *exactly* — unsupported
-        bound, a dead index, or a column whose values do not all share the
-        bound's type family (a scan would raise ``TypeError`` there, and the
-        range probe must not silently succeed where the scan errors).
-        """
-        if not self._ok:
-            return None
-        bound_key = order_key(bound)
-        if bound_key is None:
-            return None
-        if self._keys and (
-            self._keys[0][0] != bound_key[0] or self._keys[-1][0] != bound_key[0]
-        ):
-            return None
-        if op_symbol == "<":
-            return self._values[: bisect_left(self._keys, bound_key)]
-        if op_symbol == "<=":
-            return self._values[: bisect_right(self._keys, bound_key)]
-        if op_symbol == ">":
-            return self._values[bisect_right(self._keys, bound_key) :]
-        if op_symbol == ">=":
-            return self._values[bisect_left(self._keys, bound_key) :]
-        if op_symbol == "=":
-            return self._values[
-                bisect_left(self._keys, bound_key) : bisect_right(self._keys, bound_key)
-            ]
-        return None
+    __slots__ = ("positions",)
+
+    def __init__(self, positions: Tuple[int, ...], rows: Iterable[Sequence[Value]] = ()) -> None:
+        self.positions = positions
+        buckets: Dict[Tuple[Value, ...], list] = {}
+        for row in rows:
+            buckets.setdefault(tuple(row[p] for p in positions), []).append(row)
+        for values, bucket in buckets.items():
+            self[values] = tuple(bucket)
+
+    def add(self, row: Tuple[Value, ...]) -> None:
+        """File one inserted row under its values."""
+        values = tuple(row[p] for p in self.positions)
+        self[values] = self.get(values, ()) + (row,)
+
+    def remove(self, row: Tuple[Value, ...]) -> None:
+        """Take one deleted row out of its bucket, dropping an emptied bucket."""
+        values = tuple(row[p] for p in self.positions)
+        bucket = tuple(r for r in self.get(values, ()) if r != row)
+        if bucket:
+            self[values] = bucket
+        else:
+            self.pop(values, None)
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +238,13 @@ class TrieNode:
     """One level of a :class:`TrieIndex`: sorted distinct values → children.
 
     ``_keys`` holds the :func:`order_key` of every child value in sorted
-    order, ``_values`` the values themselves in the matching positions —
-    exactly the :class:`SortedPositionIndex` layout, so the leapfrog
-    executor's sorted intersection and the point lookups
-    (:meth:`child`) share one structure.  A leaf node (the last indexed
-    position) has no children; :attr:`count` tracks how many rows reach the
-    node, which is what lets point deletions prune emptied paths exactly.
+    order, ``_values`` the values themselves in the matching positions, so
+    the leapfrog executor's sorted intersection, the point lookups
+    (:meth:`child`) and the range probes (:meth:`range_values`) share one
+    structure — the root of a one-position trie *is* the sorted index of
+    that position.  A leaf node (the last indexed position) has no
+    children; :attr:`count` tracks how many rows reach the node, which is
+    what lets point deletions prune emptied paths exactly.
     """
 
     __slots__ = ("_children", "_keys", "_values", "count")
@@ -271,6 +265,32 @@ class TrieNode:
 
     def __len__(self) -> int:
         return len(self._values)
+
+    def range_values(self, op_symbol: str, bound: Value) -> Optional[List[Value]]:
+        """Distinct child values satisfying ``value <op> bound``, ascending.
+
+        Returns ``None`` when the level cannot answer *exactly*: an
+        unsupported bound, or values that do not all share the bound's type
+        family (a scan would raise ``TypeError`` there, and the range probe
+        must not silently succeed where the scan errors).
+        """
+        bound_key = order_key(bound)
+        if bound_key is None:
+            return None
+        keys = self._keys
+        if keys and (keys[0][0] != bound_key[0] or keys[-1][0] != bound_key[0]):
+            return None
+        if op_symbol == "<":
+            return self._values[: bisect_left(keys, bound_key)]
+        if op_symbol == "<=":
+            return self._values[: bisect_right(keys, bound_key)]
+        if op_symbol == ">":
+            return self._values[bisect_right(keys, bound_key) :]
+        if op_symbol == ">=":
+            return self._values[bisect_left(keys, bound_key) :]
+        if op_symbol == "=":
+            return self._values[bisect_left(keys, bound_key) : bisect_right(keys, bound_key)]
+        return None
 
     # -- maintenance ---------------------------------------------------------
     def _ensure_child(self, value: Value) -> Optional["TrieNode"]:
@@ -349,7 +369,8 @@ class TrieIndex:
     (:meth:`~repro.relational.database.Relation.trie_index_on` caches one per
     position tuple).
 
-    Maintenance mirrors the sorted-index contract: built once from the live
+    Maintenance follows the derived-structure contract of
+    :class:`~repro.relational.database.Relation`: built once from the live
     rows, :meth:`add`/:meth:`remove` keep it current under point mutations
     (bulk mutations drop the whole trie), and a value outside the supported
     order families at any level marks the trie dead (:attr:`ok` false) —
@@ -364,9 +385,9 @@ class TrieIndex:
         self.root = TrieNode()
         self._ok = True
         #: The order family every value of each level must share; a level
-        #: mixing numbers and strings declines like a sorted index does —
-        #: the trie must never be the reason a comparison that would raise
-        #: ``TypeError`` under a scan silently evaluates.
+        #: mixing numbers and strings declines — the trie must never be the
+        #: reason a comparison that would raise ``TypeError`` under a scan
+        #: silently evaluates.
         self._families: List[Optional[str]] = [None] * len(self.positions)
         for row in rows:
             self.add(row)
@@ -408,6 +429,10 @@ class TrieIndex:
         row = tuple(row)
         node = self.root
         node.count -= 1
+        if node.count == 0:
+            # The last row is gone: an emptied trie accepts whatever a fresh
+            # build from the same (empty) row set would.
+            self._families = [None] * len(self.positions)
         for position in self.positions:
             value = row[position]
             child = node.child(value)

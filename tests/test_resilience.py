@@ -292,7 +292,7 @@ class TestEngineDeadlines:
 # Crash-safe commits
 # ---------------------------------------------------------------------------
 def _observable_state(database: Database):
-    """Rows, versions, epoch and index-probe results — the commit invariants."""
+    """Rows, versions, epoch, index and range-probe results — the commit invariants."""
     state = {"epoch": database.epoch}
     for relation in database.relations():
         state[relation.name] = (
@@ -300,7 +300,7 @@ def _observable_state(database: Database):
             relation.version,
             relation.statistics(),
             dict(relation.index_on((0,))),
-            relation.sorted_index_on(0).range_values(">=", 0),
+            relation.range_rows(0, ">=", 0),
         )
     return state
 

@@ -2,7 +2,7 @@
 
 Covers the four layers the optimizer spans:
 
-* **Relational** — maintained statistics and sorted indexes: correct after
+* **Relational** — maintained statistics and range probes: correct after
   construction, maintained *in place* under point mutations and
   ``apply_delta`` streams (including undo round-trips), dropped by bulk
   mutations, and honest about what they cannot answer (mixed-type columns).
@@ -34,7 +34,6 @@ from repro.queries.plan import (
 )
 from repro.relational.database import Database, Relation
 from repro.relational.schema import RelationSchema
-from repro.relational.statistics import SortedPositionIndex
 
 A, B, P, Q, X, Y = Var("a"), Var("b"), Var("p"), Var("q"), Var("x"), Var("y")
 
@@ -66,15 +65,14 @@ class TestRelationStatistics:
         assert relation.statistics().distinct_counts == (3, 2)
         relation.discard((2, "y"))
         assert relation.statistics().distinct_counts == (2, 1)
-        # The backing counts survived both point mutations (no lazy rebuild).
-        assert relation._stats is not None
+        assert relation.statistics() == Relation(relation.schema, relation.rows()).statistics()
 
     def test_bulk_mutations_drop_the_backing_counts(self):
         relation = Relation(RelationSchema("r", ["a"]), [(1,), (2,)])
         relation.statistics()
         relation.replace_rows({(5,), (6,), (7,)})
-        assert relation._stats is None
         assert relation.statistics().distinct_counts == (3,)
+        assert relation.statistics().max_frequencies == (1,)
 
     def test_statistics_follow_apply_delta_and_undo(self):
         database = Database()
@@ -109,7 +107,6 @@ class TestRelationStatistics:
         # Deleting a row of the maximal value dirties the position; the next
         # snapshot recomputes it (another value may share the max).
         relation2.discard((3, 9))
-        assert relation2._stats_max[1] is None
         assert relation2.statistics().max_frequencies == (1, 2)
         # A snapshot equals a from-scratch build after any of it.
         fresh = Relation(relation2.schema, relation2.rows())
@@ -164,23 +161,23 @@ class TestSortedIndex:
     def test_unsupported_values_mark_the_index_dead(self):
         relation = Relation(RelationSchema("r", ["v"]), [((1, 2),)])
         assert relation.range_rows(0, "<", (9, 9)) is None
-        assert not relation.sorted_index_on(0).ok
+        assert not relation.trie_index_on((0,)).ok
 
     def test_point_mutations_maintain_the_sorted_index(self):
         relation = Relation(RelationSchema("r", ["v"]), [(3,), (7,)])
-        relation.sorted_index_on(0)
+        relation.range_rows(0, "<", 0)
         relation.add((5,))
         relation.add((5,))  # duplicate value via a second row? set semantics: no-op
         relation.discard((7,))
-        assert relation.sorted_indexed_positions() == (0,)  # never dropped
+        assert relation.trie_indexed_position_sets() == ((0,),)  # never dropped
         assert set(relation.range_rows(0, "<=", 5)) == {(3,), (5,)}
         assert relation.range_rows(0, ">", 5) == ()
 
     def test_bulk_mutations_drop_the_sorted_index(self):
         relation = Relation(RelationSchema("r", ["v"]), [(3,)])
-        relation.sorted_index_on(0)
+        relation.range_rows(0, "<", 0)
         relation.replace_rows({(8,), (9,)})
-        assert relation.sorted_indexed_positions() == ()
+        assert relation.trie_indexed_position_sets() == ()
         assert set(relation.range_rows(0, ">", 8)) == {(9,)}
 
     def test_random_delta_stream_keeps_index_and_brute_force_aligned(self):
@@ -190,7 +187,7 @@ class TestSortedIndex:
         relation = database.create_relation(
             "r", ["a", "p"], [(i, rng.randrange(12)) for i in range(25)]
         )
-        relation.sorted_index_on(1)
+        relation.range_rows(1, "<", 0)
         relation.statistics()
         for step in range(40):
             if rng.random() < 0.5 and len(relation):
@@ -213,12 +210,13 @@ class TestSortedIndex:
                 )
 
     def test_duplicate_values_survive_partial_removal(self):
-        index = SortedPositionIndex([4, 4, 9])
-        index.remove(4)
-        assert index.range_values("<", 5) == [4]
-        index.remove(4)
-        assert index.range_values("<", 5) == []
-        assert index.range_values(">=", 0) == [9]
+        relation = Relation(RelationSchema("r", ["a", "v"]), [(1, 4), (2, 4), (3, 9)])
+        assert set(relation.range_rows(1, "<", 5)) == {(1, 4), (2, 4)}
+        relation.discard((1, 4))
+        assert relation.range_rows(1, "<", 5) == ((2, 4),)
+        relation.discard((2, 4))
+        assert relation.range_rows(1, "<", 5) == ()
+        assert relation.range_rows(1, ">=", 0) == ((3, 9),)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +370,7 @@ class TestExecutorAccessPaths:
             for b in enumerate_bindings_naive(database, atoms, comparisons)
         )
         assert planned == naive
-        assert database.relation("item").sorted_indexed_positions() == (1,)
+        assert database.relation("item").trie_indexed_position_sets() == ((1,),)
 
     def test_range_probe_bound_by_an_earlier_atom_variable(self):
         database = Database()
@@ -482,7 +480,6 @@ class TestMaintainedRangeQueries:
         from repro.incremental.views import _PreStateView
 
         relation = Relation(RelationSchema("r", ["a", "p"]), [(1, 5), (2, 9)])
-        relation.sorted_index_on(1)
         added = _PreStateView(relation, extra_row=(3, 7))
         assert set(added.range_rows(1, "<", 8)) == {(1, 5), (3, 7)}
         removed = _PreStateView(relation, removed_row=(2, 9))

@@ -147,8 +147,20 @@ class TestTrieDecline:
         relation.replace_rows({(5,), (6,)})
         assert relation.trie_index_on((0,)).ok
 
+    def test_emptied_trie_refixes_families_like_a_fresh_build(self):
+        """Deleting the last row frees every level's family for the next row."""
+        relation = Relation(RelationSchema("r", ["a", "b"]), [(1, 2)])
+        trie = relation.trie_index_on((0, 1))
+        relation.range_rows(0, ">", 0)
+        relation.discard((1, 2))
+        relation.add(("a", "b"))
+        assert trie.ok
+        assert trie.as_nested() == _fresh(relation, (0, 1)).as_nested()
+        assert relation.trie_index_on((0,)).ok
+        assert relation.range_rows(0, ">=", "a") == (("a", "b"),)
+
     def test_mixed_numeric_families_stay_alive(self):
-        """bool/int/float share the numeric order family, like sorted indexes."""
+        """bool/int/float share the numeric order family."""
         relation = Relation(RelationSchema("r", ["a"]), [(True,), (2,), (2.5,)])
         trie = relation.trie_index_on((0,))
         assert trie.ok
