@@ -179,10 +179,10 @@ class DerivedStructureMachine(RuleBasedStateMachine):
         if self.tokens:
             self.tokens.pop().undo()
 
-    @rule(name=NAMES, rows=st.data())
-    def replace_rows(self, name, rows):
+    @rule(name=NAMES, data=st.data())
+    def replace_rows(self, name, data):
         if not self._pinned(name):
-            new_rows = rows.draw(st.lists(_rows_of(name), max_size=5))
+            new_rows = data.draw(st.lists(_rows_of(name), max_size=5))
             self.database.relation(name).replace_rows(set(new_rows))
 
     @rule(
