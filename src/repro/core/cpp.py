@@ -43,9 +43,10 @@ def count_valid_packages(
     the count) and in the benchmark report (it shows where the mass of valid
     packages sits).
 
-    The count rides the engine's non-materializing scan: no package objects
-    survive a lattice node, no generator frames are kept alive — the solver
-    touches exactly the counters.
+    The count consumes the engine's lattice walk through
+    :meth:`~repro.core.enumeration.PackageSearchEngine.count_valid`, which
+    keeps only counters: each valid node's package is dropped as soon as it
+    is counted, so memory stays bounded by the DFS depth.
     """
     engine = PackageSearchEngine(problem)
     total, histogram = engine.count_valid(

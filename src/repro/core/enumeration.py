@@ -8,8 +8,8 @@ the data-complexity regime the paper proves NP/coNP/#P-hard — and polynomial
 when the bound is a constant (Corollary 6.1).
 
 Every solver (RPP, CPP, MBP, FRP, the heuristics and the QRPP/ARPP searches)
-rides one shared :class:`PackageSearchEngine`, an incremental depth-first
-traversal of the subset lattice that
+rides one shared :class:`PackageSearchEngine`, whose one incremental
+depth-first walk of the subset lattice
 
 * threads running cost and rating state along the DFS whenever the problem's
   functions expose an exact :class:`~repro.core.functions.IncrementalAggregate`
@@ -17,11 +17,17 @@ traversal of the subset lattice that
 * builds packages through the trusted fast path
   (:meth:`~repro.core.packages.Package.trusted`) — items drawn from ``Q(D)``
   were already validated by the query evaluator,
-* probes the compatibility oracle exactly once per lattice node (the verdict
-  serves both the anti-monotone pruning hint and the validity check),
-* skips the ``N ⊆ Q(D)`` membership scan entirely (true by construction), and
-* supports a branch-and-bound top-k mode and a non-materializing counting
-  mode on top of the plain enumeration.
+* probes the compatibility oracle at most once per lattice node (the verdict
+  serves both the anti-monotone pruning hint and the validity check), and
+* skips the ``N ⊆ Q(D)`` membership scan entirely (true by construction).
+
+The paper's RPP, FRP, MBP and CPP all range over the same set of valid
+packages and differ only in what they ask of it, so the engine's three
+search modes are three consumers of that one walk: enumeration
+(:meth:`~PackageSearchEngine.iter_valid`), counting without retaining
+packages (:meth:`~PackageSearchEngine.count_valid`) and branch-and-bound
+top-k (:meth:`~PackageSearchEngine.best_valid`, which hands the walk a
+subtree-bound hook).
 
 Three pruning hints on :class:`~repro.core.model.RecommendationProblem` keep
 the search practical on realistic instances without changing its worst case:
@@ -43,8 +49,9 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from contextlib import closing
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.model import RecommendationProblem
 from repro.core.packages import Package, Selection
@@ -58,10 +65,6 @@ from repro.resilience.deadline import current_deadline
 #: two, so ``examined & (N - 1)`` is the gate; the overshoot past an expired
 #: deadline is bounded by one stride.
 _DEADLINE_STRIDE = 64
-
-
-class _SearchDone(Exception):
-    """Internal signal: the counting scan reached its early-exit threshold."""
 
 
 def _prune_threshold(worst_rating: float) -> float:
@@ -174,35 +177,46 @@ class PackageSearchEngine:
         return True
 
     # -- cost/rating threading -------------------------------------------------
-    def _cost_path(self):
-        """(initial state, extend, value-at-node) for the cost function."""
-        if self._cost_inc is not None:
-            inc = self._cost_inc
+    @staticmethod
+    def _threaded(inc, function):
+        """(initial state, extend, value-at-node) for a cost or rating function."""
+        if inc is not None:
             return inc.initial, inc.extend, lambda state, size, package: inc.finish(state, size)
-        cost = self.problem.cost
-        return None, None, lambda state, size, package: cost(package)
+        return None, None, lambda state, size, package: function(package)
 
-    def _val_path(self):
-        """(initial state, extend, value-at-node) for the rating function."""
-        if self._val_inc is not None:
-            inc = self._val_inc
-            return inc.initial, inc.extend, lambda state, size, package: inc.finish(state, size)
-        val = self.problem.val
-        return None, None, lambda state, size, package: val(package)
-
-    # -- enumeration -----------------------------------------------------------
-    def iter_valid(
+    # -- the lattice walk --------------------------------------------------------
+    def _walk(
         self,
         rating_bound: Optional[float] = None,
         strict: bool = False,
+        rated: bool = False,
         exclude: Iterable[Package] = (),
         max_candidates: Optional[int] = None,
-    ) -> Iterator[Package]:
-        """All valid packages, optionally rated ≥ (or >) ``rating_bound``.
+        cut: Optional[Callable[[int, float, FrozenSet[Row], float, int], bool]] = None,
+        cut_siblings: bool = False,
+        cost_delta: Optional[Callable[[Row], float]] = None,
+        counts: Optional[List[int]] = None,
+    ) -> Iterator[Tuple[Package, int, Optional[float]]]:
+        """``(package, size, rating)`` for every valid node, in DFS order.
 
-        Packages are yielded in DFS order over the typed-sorted items; every
-        yielded package has passed the full validity check, so the pruning
-        hints can only affect running time, never soundness.
+        The one depth-first traversal behind every search mode.  A node is
+        yielded when it passes the full validity check (compatible, within
+        budget, not in ``exclude``) and, given a ``rating_bound``, is rated ≥
+        (or, ``strict``, >) it.  ``rating`` is the node's rating when a bound,
+        ``rated`` or ``cut`` asks for it, else ``None``.  An excluded node is
+        probed only when ``antimonotone_compatibility`` needs its verdict to
+        prune.
+
+        ``cut(index, node_rating, node_set, path_cost, slots)`` is the
+        branch-and-bound hook: ``True`` when no package extending the node
+        by at most ``slots`` of ``items[index:]`` can matter.  It is consulted
+        before descending into a node, after the consumer has handled the
+        node's own yield.  With ``cut_siblings`` the hook is non-increasing in
+        ``index`` and is also consulted at each loop head, where ``True`` ends
+        the loop.  ``path_cost`` threads ``cost_delta`` (the per-item cost
+        behind the hook's affordability cap) along the path; it stays 0.0
+        without one.  ``counts``, when given, receives ``[examined, pruned]``
+        once the walk ends.
         """
         items, limit = self.items, self.limit
         if limit <= 0:
@@ -211,9 +225,13 @@ class PackageSearchEngine:
         monotone_cost, antimonotone = self.monotone_cost, self.antimonotone
         excluded: FrozenSet[Package] = frozenset(exclude)
         check_rating = rating_bound is not None
-        cost_init, cost_extend, cost_at = self._cost_path()
-        val_init, val_extend, val_at = self._val_path()
-        if not check_rating:  # the rating never gets consulted: skip threading it
+        rated = rated or check_rating
+        # The hook needs every node's rating, valid or not; otherwise only
+        # valid nodes are rated, and only when a consumer asks.
+        eager_rating = cut is not None
+        cost_init, cost_extend, cost_at = self._threaded(self._cost_inc, self.problem.cost)
+        val_init, val_extend, val_at = self._threaded(self._val_inc, self.problem.val)
+        if not (rated or eager_rating):  # the rating never gets consulted: skip threading it
             val_init, val_extend = None, None
         examined = 0
         pruned = 0
@@ -230,9 +248,15 @@ class PackageSearchEngine:
             item_set: FrozenSet[Row],
             cost_state,
             val_state,
-        ) -> Iterator[Package]:
+            node_rating: float,
+            path_cost: float,
+        ) -> Iterator[Tuple[Package, int, Optional[float]]]:
             nonlocal examined, pruned
+            slots = limit - len(prefix)
             for index in range(start, len(items)):
+                if cut_siblings and cut(index, node_rating, item_set, path_cost, slots):
+                    pruned += 1
+                    break
                 item = items[index]
                 extended = prefix + (item,)
                 examined += 1
@@ -268,31 +292,70 @@ class PackageSearchEngine:
                         pruned += 1
                         continue
                 next_val = val_extend(val_state, item) if val_extend else None
-                if package not in excluded:
+                rating = val_at(next_val, size, package) if eager_rating else None
+                if not excluded or package not in excluded:
                     if compatible is None:
                         compatible = oracle.is_satisfied(package)
                     if compatible:
                         if cost_value is None:
                             cost_value = cost_at(next_cost, size, package)
                         if cost_value <= budget:
-                            if check_rating:
+                            if rated and rating is None:
                                 rating = val_at(next_val, size, package)
-                                ok = rating > rating_bound if strict else rating >= rating_bound
-                            else:
-                                ok = True
-                            if ok:
-                                yield package
+                            if not check_rating or (
+                                rating > rating_bound if strict else rating >= rating_bound
+                            ):
+                                yield package, size, rating
                 if size < limit:
-                    yield from dfs(index + 1, extended, extended_set, next_cost, next_val)
+                    child_cost = path_cost + cost_delta(item) if cost_delta is not None else 0.0
+                    if cut is not None and cut(
+                        index + 1, rating, extended_set, child_cost, limit - size
+                    ):
+                        pruned += 1
+                        continue
+                    yield from dfs(
+                        index + 1, extended, extended_set, next_cost, next_val, rating, child_cost
+                    )
 
+        # Per-item gains are admissible only between non-empty packages (the
+        # rating may jump arbitrarily — even from -∞ — between ∅ and the
+        # first item), so the root level never prunes through them: seeding
+        # the root "rating" with +∞ disables the gains-based sibling cut for
+        # the top-level loop, and every deeper bound starts from a real
+        # node's rating.  The generic monotone bound evaluates
+        # val(∅ ∪ remaining) directly and needs no such guard.
         try:
-            yield from dfs(0, (), frozenset(), cost_init, val_init)
+            yield from dfs(0, (), frozenset(), cost_init, val_init, math.inf, 0.0)
         finally:
+            if counts is not None:
+                counts[:] = (examined, pruned)
             active = _metrics._ACTIVE
             if active is not None:
                 active.inc_many(
                     (("engine.nodes.examined", examined), ("engine.nodes.pruned", pruned))
                 )
+
+    # -- enumeration -----------------------------------------------------------
+    def iter_valid(
+        self,
+        rating_bound: Optional[float] = None,
+        strict: bool = False,
+        exclude: Iterable[Package] = (),
+        max_candidates: Optional[int] = None,
+    ) -> Iterator[Package]:
+        """All valid packages, optionally rated ≥ (or >) ``rating_bound``.
+
+        Packages are yielded in DFS order over the typed-sorted items; every
+        yielded package has passed the full validity check, so the pruning
+        hints can only affect running time, never soundness.
+        """
+        for package, _, _ in self._walk(
+            rating_bound=rating_bound,
+            strict=strict,
+            exclude=exclude,
+            max_candidates=max_candidates,
+        ):
+            yield package
 
     def first_valid(
         self,
@@ -315,106 +378,36 @@ class PackageSearchEngine:
         by_size: bool = False,
         collect_ratings: Optional[List[float]] = None,
     ):
-        """``|{N valid : val(N) ≥ B}|`` without materialising the packages.
+        """``|{N valid : val(N) ≥ B}|`` without retaining the packages.
 
-        The counting scan shares the DFS of :meth:`iter_valid` but never
-        yields: no generator frames, no exclusion set, and no package objects
-        retained beyond the oracle probe of the current node.  ``stop_at``
-        short-circuits the scan once that many valid packages are seen (the
-        MBP witnesses check needs only "are there k?"); ``by_size`` also
-        returns the per-size histogram CPP reports; ``collect_ratings``
-        (a caller-supplied list) additionally receives every counted
-        package's rating — the MBP maximum-bound scan needs the ratings but
-        still no packages.
+        The counting scan consumes the same lattice walk as
+        :meth:`iter_valid` but keeps only counters: each valid node's package
+        is dropped as soon as it is counted.  ``stop_at`` closes the walk
+        once that many valid packages are seen (the MBP witnesses check
+        needs only "are there k?"); ``by_size`` also returns the per-size
+        histogram CPP reports; ``collect_ratings`` (a caller-supplied list)
+        additionally receives every counted package's rating — the MBP
+        maximum-bound scan needs the ratings but still no packages.
         """
-        items, limit = self.items, self.limit
         histogram: Dict[int, int] = {}
         count = 0
-        if limit <= 0 or (stop_at is not None and stop_at <= 0):
-            return (count, histogram) if by_size else count
-        schema, oracle, budget = self.schema, self.oracle, self.budget
-        monotone_cost, antimonotone = self.monotone_cost, self.antimonotone
-        check_rating = rating_bound is not None
-        need_rating = check_rating or collect_ratings is not None
-        cost_init, cost_extend, cost_at = self._cost_path()
-        val_init, val_extend, val_at = self._val_path()
-        if not need_rating:  # the rating never gets consulted: skip threading it
-            val_init, val_extend = None, None
-        examined = 0
-        pruned = 0
-        deadline = current_deadline()  # call-time, as in iter_valid
-        if deadline is not None:
-            deadline.check()
-
-        def dfs(start, prefix, item_set, cost_state, val_state) -> None:
-            nonlocal examined, pruned, count
-            for index in range(start, len(items)):
-                item = items[index]
-                extended = prefix + (item,)
-                examined += 1
-                if max_candidates is not None and examined > max_candidates:
-                    raise BudgetExceededError(
-                        f"valid-package enumeration exceeded {max_candidates} candidates"
-                    )
-                if deadline is not None and not examined & (_DEADLINE_STRIDE - 1):
-                    deadline.tick(_DEADLINE_STRIDE)
-                size = len(extended)
-                next_cost = cost_extend(cost_state, item) if cost_extend else None
-                if monotone_cost and cost_extend:
-                    # Incremental cost: prune before materialising the node.
-                    cost_value = cost_at(next_cost, size, None)
-                    if cost_value > budget:
-                        pruned += 1
-                        continue
-                    extended_set = item_set | {item}
-                    package = Package.trusted(schema, extended_set, extended)
-                else:
-                    extended_set = item_set | {item}
-                    package = Package.trusted(schema, extended_set, extended)
-                    cost_value = cost_at(next_cost, size, package) if monotone_cost else None
-                    if monotone_cost and cost_value > budget:
-                        pruned += 1
-                        continue
-                compatible = oracle.is_satisfied(package)
-                if antimonotone and not compatible:
-                    pruned += 1
-                    continue
-                next_val = val_extend(val_state, item) if val_extend else None
-                if compatible:
-                    if cost_value is None:
-                        cost_value = cost_at(next_cost, size, package)
-                    if cost_value <= budget:
-                        if need_rating:
-                            rating = val_at(next_val, size, package)
-                            if not check_rating:
-                                ok = True
-                            elif strict:
-                                ok = rating > rating_bound
-                            else:
-                                ok = rating >= rating_bound
-                        else:
-                            ok = True
-                        if ok:
-                            count += 1
-                            if by_size:
-                                histogram[size] = histogram.get(size, 0) + 1
-                            if collect_ratings is not None:
-                                collect_ratings.append(rating)
-                            if stop_at is not None and count >= stop_at:
-                                raise _SearchDone
-                if size < limit:
-                    dfs(index + 1, extended, extended_set, next_cost, next_val)
-
-        try:
-            dfs(0, (), frozenset(), cost_init, val_init)
-        except _SearchDone:
-            pass
-        finally:
-            active = _metrics._ACTIVE
-            if active is not None:
-                active.inc_many(
-                    (("engine.nodes.examined", examined), ("engine.nodes.pruned", pruned))
+        if stop_at is None or stop_at > 0:
+            with closing(
+                self._walk(
+                    rating_bound=rating_bound,
+                    strict=strict,
+                    rated=collect_ratings is not None,
+                    max_candidates=max_candidates,
                 )
+            ) as walk:
+                for _, size, rating in walk:
+                    count += 1
+                    if by_size:
+                        histogram[size] = histogram.get(size, 0) + 1
+                    if collect_ratings is not None:
+                        collect_ratings.append(rating)
+                    if count == stop_at:
+                        break
         return (count, histogram) if by_size else count
 
     def valid_ratings(self) -> List[float]:
@@ -454,10 +447,7 @@ class PackageSearchEngine:
         scored: List[Tuple[Tuple[float, Tuple], Package, float]] = []
         if limit <= 0 or how_many <= 0:
             return [], 0, 0
-        schema, oracle, budget = self.schema, self.oracle, self.budget
-        monotone_cost, antimonotone = self.monotone_cost, self.antimonotone
-        cost_init, cost_extend, cost_at = self._cost_path()
-        val_init, val_extend, val_at = self._val_path()
+        schema, budget = self.schema, self.budget
 
         use_bound = self.problem.monotone_val
         gains = self.problem.val.item_gain(self.schema) if use_bound else None
@@ -467,7 +457,7 @@ class PackageSearchEngine:
             # items[i:] — an admissible bound on the extra rating any
             # ≤ m-item subset of them can add.  One backward pass maintains
             # the descending gain list by insertion (each gain evaluated
-            # once), re-deriving the prefix sums per index.  ``bound_from``
+            # once), re-deriving the prefix sums per index.  ``hopeless``
             # only ever asks for m ≤ limit more items (the size bound caps
             # every extension), so both the maintained list and the stored
             # prefix sums are truncated there, keeping setup O(n·limit)
@@ -517,50 +507,59 @@ class PackageSearchEngine:
             suffix_sets = None
 
         val_fn = self.problem.val
-        examined = 0
-        pruned = 0
         total_seen = 0
-        deadline = current_deadline()  # call-time, as in iter_valid
-        if deadline is not None:
-            deadline.check()
+        counts = [0, 0]
         # ``scored`` stays sorted by (-rating, tie key); entries carry the
         # rating separately so the pruning threshold needs no negation.
         worst_rating: Optional[float] = None
 
-        def bound_from(
+        def hopeless(
             index: int,
             node_rating: float,
             node_set: FrozenSet[Row],
             path_cost: float,
             slots: int,
-        ) -> float:
-            """Best rating any package extending the node with items[index:] can reach."""
+        ) -> bool:
+            """Whether every package extending the node with items[index:] misses the top-k.
+
+            The bound is the best rating any such package can reach; only a
+            full selection has a k-th best to fall short of.
+            """
+            if worst_rating is None:
+                return False
+            bound = node_rating
             if suffix_top is not None:
                 available = len(items) - index
-                if available <= 0:
-                    return node_rating
                 m = slots if slots < available else available
-                if min_delta is not None:
+                if m > 0 and min_delta is not None:
                     affordable = int((budget - path_cost) // min_delta[index])
                     if affordable < m:
                         m = affordable
-                if m <= 0:
-                    return node_rating
-                return node_rating + suffix_top[index][m]
-            remaining = suffix_sets[index]
-            if not remaining:
-                return node_rating
-            return val_fn(Package.trusted(schema, node_set | remaining))
+                if m > 0:
+                    bound = node_rating + suffix_top[index][m]
+            elif suffix_sets[index]:
+                bound = val_fn(Package.trusted(schema, node_set | suffix_sets[index]))
+            return bound < _prune_threshold(worst_rating)
 
-        def admit(rating: float, package: Package) -> None:
-            nonlocal worst_rating, total_seen
+        # Each yielded node is admitted before the walk resumes, so the hook
+        # already sees the updated k-th best when it decides on the node's
+        # subtree.  The capped positive-gain bound is non-increasing in
+        # ``index``, so it may also cut a node's remaining siblings.
+        for package, _, rating in self._walk(
+            rated=True,
+            max_candidates=max_candidates,
+            cut=hopeless if use_bound else None,
+            cut_siblings=suffix_top is not None,
+            cost_delta=cost_delta,
+            counts=counts,
+        ):
             total_seen += 1
             if len(scored) >= how_many:
                 if rating < worst_rating:
-                    return  # strictly worse: the tie key can never matter
+                    continue  # strictly worse: the tie key can never matter
                 key = (-rating, package.sort_key())
                 if key >= scored[-1][0]:
-                    return
+                    continue
             else:
                 key = (-rating, package.sort_key())
             insort(scored, (key, package, rating))
@@ -568,106 +567,7 @@ class PackageSearchEngine:
                 scored.pop()
             if len(scored) >= how_many:
                 worst_rating = scored[-1][2]
-
-        def dfs(start, prefix, item_set, cost_state, val_state, node_rating, path_cost) -> None:
-            nonlocal examined, pruned
-            slots = limit - len(prefix)
-            for index in range(start, len(items)):
-                if (
-                    suffix_top is not None
-                    and worst_rating is not None
-                    and bound_from(index, node_rating, item_set, path_cost, slots)
-                    < _prune_threshold(worst_rating)
-                ):
-                    # The capped positive-gain bound is non-increasing in
-                    # ``index``, so nothing later in this loop can qualify
-                    # either.
-                    pruned += 1
-                    break
-                item = items[index]
-                extended = prefix + (item,)
-                examined += 1
-                if max_candidates is not None and examined > max_candidates:
-                    raise BudgetExceededError(
-                        f"valid-package enumeration exceeded {max_candidates} candidates"
-                    )
-                if deadline is not None and not examined & (_DEADLINE_STRIDE - 1):
-                    deadline.tick(_DEADLINE_STRIDE)
-                size = len(extended)
-                next_cost = cost_extend(cost_state, item) if cost_extend else None
-                if monotone_cost and cost_extend:
-                    # Incremental cost: prune before materialising the node.
-                    cost_value = cost_at(next_cost, size, None)
-                    if cost_value > budget:
-                        pruned += 1
-                        continue
-                    extended_set = item_set | {item}
-                    package = Package.trusted(schema, extended_set, extended)
-                else:
-                    extended_set = item_set | {item}
-                    package = Package.trusted(schema, extended_set, extended)
-                    cost_value = cost_at(next_cost, size, package) if monotone_cost else None
-                    if monotone_cost and cost_value > budget:
-                        pruned += 1
-                        continue
-                compatible = oracle.is_satisfied(package)
-                if antimonotone and not compatible:
-                    pruned += 1
-                    continue
-                next_val = val_extend(val_state, item) if val_extend else None
-                # The node's rating is needed for admission anyway whenever the
-                # node is valid, and for the subtree bound whenever branch and
-                # bound is active; only a bound-less search on an invalid node
-                # can skip it, which the lazy computation below arranges.
-                rating = val_at(next_val, size, package) if use_bound else None
-                if compatible:
-                    if cost_value is None:
-                        cost_value = cost_at(next_cost, size, package)
-                    if cost_value <= budget:
-                        if rating is None:
-                            rating = val_at(next_val, size, package)
-                        admit(rating, package)
-                if size < limit:
-                    child_cost = (
-                        path_cost + cost_delta(item) if cost_delta is not None else 0.0
-                    )
-                    if (
-                        use_bound
-                        and worst_rating is not None
-                        and bound_from(
-                            index + 1, rating, extended_set, child_cost, limit - size
-                        )
-                        < _prune_threshold(worst_rating)
-                    ):
-                        pruned += 1
-                        continue
-                    dfs(
-                        index + 1,
-                        extended,
-                        extended_set,
-                        next_cost,
-                        next_val,
-                        rating,
-                        child_cost,
-                    )
-
-        # Per-item gains are admissible only between non-empty packages (the
-        # rating may jump arbitrarily — even from -∞ — between ∅ and the
-        # first item), so the root level never prunes through them: seeding
-        # the root "rating" with +∞ disables the gains-based break for the
-        # top-level loop, and every deeper bound starts from a real node's
-        # rating.  The generic monotone bound evaluates val(∅ ∪ remaining)
-        # directly and needs no such guard.
-        root_rating = math.inf if use_bound else 0.0
-        try:
-            dfs(0, (), frozenset(), cost_init, val_init, root_rating, 0.0)
-        finally:
-            active = _metrics._ACTIVE
-            if active is not None:
-                active.inc_many(
-                    (("engine.nodes.examined", examined), ("engine.nodes.pruned", pruned))
-                )
-        return [(rating, package) for _, package, rating in scored], examined, total_seen
+        return [(rating, package) for _, package, rating in scored], counts[0], total_seen
 
 
 # ---------------------------------------------------------------------------
@@ -721,19 +621,6 @@ def enumerate_valid_packages(
         strict=strict,
         exclude=exclude,
         max_candidates=max_candidates,
-    )
-
-
-def count_valid_packages(
-    problem: RecommendationProblem,
-    rating_bound: Optional[float] = None,
-    strict: bool = False,
-    max_candidates: Optional[int] = None,
-) -> int:
-    """``|{N valid : val(N) ≥ B}|`` — the raw quantity behind CPP."""
-    engine = PackageSearchEngine(problem)
-    return engine.count_valid(
-        rating_bound=rating_bound, strict=strict, max_candidates=max_candidates
     )
 
 

@@ -26,10 +26,15 @@ from repro.core import (
     count_items_above,
     is_top_k_item_selection,
 )
-from repro.core.enumeration import count_valid_packages as count_valid_raw
+from repro.core.enumeration import PackageSearchEngine
 from repro.queries import identity_query_for
 from repro.relational import Database
 from repro.relational.errors import BudgetExceededError
+
+
+def count_valid_raw(problem, **options):
+    """The engine's int-returning count, beneath the CPP result wrapper."""
+    return PackageSearchEngine(problem).count_valid(**options)
 
 
 class TestEnumeration:

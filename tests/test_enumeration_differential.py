@@ -50,17 +50,24 @@ from repro.core import (
     is_top_k_selection,
     maximum_bound,
 )
-from repro.core.enumeration import count_valid_packages as raw_count_valid_packages
+from repro.core.enumeration import PackageSearchEngine
 from repro.core.model import PolynomialBound, RecommendationProblem
+from repro.observability import MetricsRegistry, use_metrics
 from repro.queries.ast import RelationAtom, Var
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.database import Database
+from repro.relational.errors import BudgetExceededError
 from repro.relaxation.qrpp import find_package_relaxation
 from repro.relaxation.relax import RelaxationSpace
 
 from scenarios import random_problem
 
 NUM_DIFFERENTIAL_SEEDS = 110
+
+
+def raw_count_valid_packages(problem, **options):
+    """The engine's int-returning count, beneath the CPP result wrapper."""
+    return PackageSearchEngine(problem).count_valid(**options)
 
 
 def _random_problem(seed: int) -> Tuple[RecommendationProblem, float]:
@@ -160,6 +167,56 @@ def test_excluded_packages_are_skipped_identically(seed):
     )
     assert engine_rest == reference_rest
     assert engine_rest == _package_set(all_packages) - _package_set(exclude)
+
+
+# ---------------------------------------------------------------------------
+# One walk behind every search mode
+# ---------------------------------------------------------------------------
+def _node_counters(run):
+    """``(examined, pruned)`` the engine flushes while ``run()`` executes."""
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        run()
+    return (
+        registry.counter("engine.nodes.examined"),
+        registry.counter("engine.nodes.pruned"),
+    )
+
+
+@pytest.mark.parametrize("seed", range(NUM_DIFFERENTIAL_SEEDS))
+def test_search_modes_share_node_counters_and_budget_guard(seed):
+    """Enumeration, counting and top-k visit the same nodes when nothing bounds top-k.
+
+    With ``monotone_val`` withheld, branch-and-bound is off, so a fully
+    consumed search in any mode examines and prunes exactly the nodes the
+    cost and compatibility hints leave, rating bound or not; and the
+    ``max_candidates`` guard trips at the same node in every mode.
+    """
+    problem, rating_bound = _random_problem(seed)
+    engine = PackageSearchEngine(replace(problem, monotone_val=False))
+    modes = {
+        "iter": lambda cap=None: list(engine.iter_valid(max_candidates=cap)),
+        "count": lambda cap=None: engine.count_valid(max_candidates=cap),
+        "best": lambda cap=None: engine.best_valid(problem.k, max_candidates=cap),
+    }
+    examined, pruned = _node_counters(modes["iter"])
+    for run in (
+        *modes.values(),
+        lambda: list(engine.iter_valid(rating_bound=rating_bound)),
+        lambda: engine.count_valid(rating_bound=rating_bound),
+    ):
+        assert _node_counters(run) == (examined, pruned)
+    assert engine.best_valid(problem.k)[1] == examined
+
+    for run in modes.values():
+        run(examined)
+        if examined:
+            with pytest.raises(BudgetExceededError):
+                run(examined - 1)
+
+    total = engine.count_valid()
+    for stop_at in range(total + 2):
+        assert engine.count_valid(stop_at=stop_at) == min(stop_at, total)
 
 
 # ---------------------------------------------------------------------------
