@@ -14,8 +14,8 @@ replayed under a seeded chaos schedule injecting transient worker faults.
 Two replicas walk the identical trace and fault schedule:
 
 * **unguarded** — a plain :class:`~repro.serving.SnapshotServer`: every
-  poison request captures a worker for its full run, and every injected
-  fault is a lost answer;
+  poison request holds up the requests behind it for its full run, and
+  every injected fault is a lost answer;
 * **guarded** — the same server armed with a
   :class:`~repro.serving.ResilienceConfig`: deadlines cut the poison off in
   tens of milliseconds (a typed ``timeout`` error, never a wrong answer),
@@ -65,7 +65,7 @@ GUARD = ResilienceConfig(
     deadline_s=0.02,
     max_retries=3,
     retry_backoff_s=0.001,
-    max_inflight=8,  # = the worker pool: exercised on every request, never sheds
+    max_inflight=8,  # batches run inline: exercised on every request, never sheds
 )
 
 #: Transient worker faults, injected identically into both replicas.

@@ -72,6 +72,17 @@ EXAMPLE_NAMES = (
 )
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type for counts that must be at least one."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser for the ``repro`` command."""
     parser = argparse.ArgumentParser(
@@ -140,7 +151,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--items", type=int, default=80, help="catalog size (random items)")
     serve.add_argument("--rounds", type=int, default=4, help="trace rounds (one commit each)")
     serve.add_argument("--batch", type=int, default=24, help="requests per round")
-    serve.add_argument("--workers", type=int, default=8, help="reader thread-pool size")
+    serve.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=None,
+        help="serve each batch on a thread pool of this size (default: the "
+        "servers' own; the snapshot server then runs batches inline)",
+    )
     serve.add_argument("--seed", type=int, default=7, help="trace seed")
     serve.add_argument(
         "--deadline-ms",
@@ -367,7 +384,7 @@ def _command_serve(
     items: int,
     rounds: int,
     batch: int,
-    workers: int,
+    workers: Optional[int],
     seed: int,
     baseline: bool,
     deadline_ms: Optional[float] = None,
@@ -403,11 +420,13 @@ def _command_serve(
         from repro.durability import DurabilityConfig
 
         durability = DurabilityConfig(wal)
+    # Left unset, both servers keep their own default pool size.
+    pool = {} if workers is None else {"max_workers": workers}
     trace = build_trace(items, rounds, batch, seed=seed)
     try:
         server = SnapshotServer(
             trace.problem,
-            max_workers=workers,
+            **pool,
             resilience=resilience,
             durability=durability,
         )
@@ -481,7 +500,7 @@ def _command_serve(
         return 0
 
     reference_trace = build_trace(items, rounds, batch, seed=seed)
-    reference = GlobalLockServer(reference_trace.problem, max_workers=workers)
+    reference = GlobalLockServer(reference_trace.problem, **pool)
     baseline_results = []
     start = time.perf_counter()
     for delta, requests in reference_trace.rounds:

@@ -476,7 +476,7 @@ SERVING_INFLIGHT = register_gauge(
     "serving.inflight", "concurrently admitted requests (last observed)"
 )
 SERVING_QUEUE_WAIT_S = register_histogram(
-    "serving.queue_wait_s", "seconds between batch submission and worker pickup"
+    "serving.queue_wait_s", "seconds between batch submission and the request's start"
 )
 SERVING_LATENCY_S = register_histogram(
     "serving.latency_s", "end-to-end request latency in seconds"
@@ -505,6 +505,9 @@ WAL_GROUP_COMMIT_BATCH_SIZE = register_histogram(
 )
 CHECKPOINT_WRITTEN = register_counter(
     "checkpoint.written", "durable database images written"
+)
+CHECKPOINT_FAILURES = register_counter(
+    "checkpoint.failures", "background checkpoints that raised (re-raised by close)"
 )
 RECOVERY_RECORDS_REPLAYED = register_counter(
     "recovery.records.replayed", "WAL tail records replayed by crash recovery"

@@ -17,7 +17,9 @@ batches.  Two server implementations share one request vocabulary:
     and the answer is re-served, which is where most of the measured
     throughput win comes from (see ``benchmarks/bench_serving.py``).  A
     commit simply makes the next request pin a fresh epoch; in-flight
-    requests finish on the old one.
+    requests finish on the old one.  A batch runs inline on the caller's
+    thread unless the caller asks for a worker pool: request execution is
+    CPU-bound Python under the GIL, so extra threads only contend for it.
 
 :class:`GlobalLockServer`
     The pre-MVCC baseline, retained as the reference: one lock serialises
@@ -252,6 +254,13 @@ def execute_request(
     return ("check", result.is_top_k, result.reason)
 
 
+def _check_workers(max_workers: int) -> int:
+    """Return a worker count, rejecting sizes below one."""
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be at least 1, got {max_workers}")
+    return max_workers
+
+
 def _finalize_result(result: ServeResult, root: Optional[Span]) -> ServeResult:
     """Account one finished request and attach its trace, if sampled.
 
@@ -320,9 +329,15 @@ class SnapshotServer:
     starts executing; the writer commits through :meth:`apply` without ever
     blocking them.  ``serve_batch`` deduplicates identical requests up front
     (sound because every answer is tagged with the immutable epoch it was
-    computed against) and fans the unique ones out over a thread pool.
+    computed against) and runs the unique ones in order on the calling
+    thread.  Only an explicit ``max_workers > 1`` (here or per batch) runs
+    them on a per-batch thread pool instead, for callers that need requests
+    to overlap, such as admission control.  Inline is the default because
+    a request is a pure-Python lattice walk that holds the GIL throughout:
+    pool threads add no parallelism, only contention, and racing threads
+    duplicate each other's compatibility-verdict misses on a fresh epoch.
 
-    A failing request never takes its batch down: the worker classifies the
+    A failing request never takes its batch down: ``serve_one`` classifies the
     exception and returns an error :class:`ServeResult`.  Error results are
     never memoized (the per-epoch memo only ever sees computed answers), but
     batch deduplication *does* share one error result across duplicate
@@ -334,14 +349,14 @@ class SnapshotServer:
     def __init__(
         self,
         problem: RecommendationProblem,
-        max_workers: int = 8,
+        max_workers: int = 1,
         resilience: Optional[ResilienceConfig] = None,
         tracing: Optional[TraceSampler] = None,
         durability=None,
     ) -> None:
         self._template = problem
         self._database = problem.database
-        self._max_workers = max_workers
+        self._max_workers = _check_workers(max_workers)
         self._guard = threading.Lock()
         self._context: Optional[_EpochContext] = None
         self._resilience = resilience
@@ -555,15 +570,21 @@ class SnapshotServer:
         requests: Sequence[ServeRequest],
         max_workers: Optional[int] = None,
     ) -> List[ServeResult]:
-        """Answer N requests, preserving order; duplicates share one compute."""
+        """Answer N requests, preserving order; duplicates share one compute.
+
+        ``max_workers`` overrides the constructor's size for this batch; at
+        size 1 the unique requests run in order on the calling thread.
+        """
         requests = list(requests)
         unique = list(dict.fromkeys(requests))
         if not unique:
             return []
-        workers = max(1, min(max_workers or self._max_workers, len(unique)))
+        if max_workers is None:
+            max_workers = self._max_workers
+        workers = min(_check_workers(max_workers), len(unique))
         if _metrics._ACTIVE is not None:
-            # Queue wait = submission to worker pickup; observed inside the
-            # worker so the pool's own scheduling is what gets measured.
+            # Queue wait = batch submission to pickup, observed where the
+            # request starts; inline, a request waits for its predecessors.
             submitted = time.perf_counter()
 
             def _timed(request: ServeRequest) -> ServeResult:
@@ -577,8 +598,11 @@ class SnapshotServer:
             worker = _timed
         else:
             worker = self.serve_one
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            served = dict(zip(unique, pool.map(worker, unique)))
+        if workers == 1:
+            served = {request: worker(request) for request in unique}
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                served = dict(zip(unique, pool.map(worker, unique)))
         return [served[request] for request in requests]
 
     def apply(self, delta):
@@ -617,6 +641,9 @@ class SnapshotServer:
                 self.checkpoint()
             except BaseException as error:  # surfaced by close()
                 self._checkpoint_error = error
+                active = _metrics._ACTIVE
+                if active is not None:
+                    active.inc("checkpoint.failures")
 
         thread = threading.Thread(target=_run, name="repro-checkpoint", daemon=True)
         self._checkpoint_thread = thread
@@ -689,7 +716,7 @@ class GlobalLockServer:
     ) -> None:
         self._template = problem
         self._database = problem.database
-        self._max_workers = max_workers
+        self._max_workers = _check_workers(max_workers)
         self._tracing = tracing
         self._lock = threading.Lock()
 

@@ -190,11 +190,11 @@ def build_overload_trace(
     the whole size-3 lattice of :func:`overload_problem` — followed by cheap
     witness probes (``exists`` with low bounds) that repeat heavily, so an
     epoch's first computation is amortised by the answer memo.  Poison leads
-    the batch on purpose: an unguarded server's workers are all captured
-    before any cheap request runs, which is exactly the overload a deadline
-    is for.  Deltas are part of the trace, so replicas replaying it walk the
-    identical epoch history (faults injected at ``serving.worker`` never
-    touch the commit path).
+    the batch on purpose: an unguarded server runs every poison request to
+    the end before any cheap request behind it, which is exactly the
+    overload a deadline is for.  Deltas are part of the trace, so replicas
+    replaying it walk the identical epoch history (faults injected at
+    ``serving.worker`` never touch the commit path).
     """
     rng = random.Random(seed)
     problem = overload_problem(num_items, seed=seed)

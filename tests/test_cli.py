@@ -135,18 +135,25 @@ class TestServe:
         assert "round 1: epoch 1" in out
         assert "requests/s" in out and "p99" in out
 
-    def test_serve_baseline_agrees_and_reports_speedup(self, capsys):
+    @pytest.mark.parametrize("pool", [[], ["--workers", "4"]])
+    def test_serve_baseline_agrees_and_reports_speedup(self, pool, capsys):
         code = main(
             ["serve", "--items", "30", "--rounds", "2", "--batch", "6", "--baseline"]
+            + pool
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "identical answers = True" in out
         assert "speedup = " in out
 
-    def test_serve_rejects_bad_flags(self):
-        with pytest.raises(SystemExit):
-            main(["serve", "--items", "not-a-number"])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--items", "not-a-number"], ["--workers", "0"], ["--workers", "-2"]],
+    )
+    def test_serve_rejects_bad_flags(self, flag):
+        with pytest.raises(SystemExit) as exited:
+            main(["serve"] + flag)
+        assert exited.value.code == 2
 
 
 class TestDurabilityCli:

@@ -933,6 +933,25 @@ class TestServingDurability:
         assert result.epoch == server.epoch
         assert result.database == server.database
 
+    def test_background_checkpoint_failure_is_counted_when_it_happens(self, tmp_path):
+        # The failure is visible in the metrics as soon as the background
+        # checkpoint dies, not only when close() re-raises it at shutdown.
+        trace = build_trace(**self.TRACE_SHAPE)
+        server = SnapshotServer(
+            trace.problem,
+            durability=DurabilityConfig(tmp_path, checkpoint_every=1),
+        )
+        delta = next(delta for delta, _ in trace.rounds if delta)
+        registry = MetricsRegistry()
+        plan = FaultPlan({"checkpoint.write": FaultRule(at={0})})
+        with use_metrics(registry), chaos(plan):
+            server.apply(list(delta))
+            server._checkpoint_thread.join()  # the one auto-checkpoint
+            assert registry.counter("checkpoint.failures") == 1
+            assert registry.counter("checkpoint.written") == 0
+            with pytest.raises(InjectedFault):
+                server.close()
+
     def test_checkpoint_is_a_noop_without_durability(self):
         trace = build_trace(num_items=10, num_rounds=1, batch_size=2, seed=1)
         server = SnapshotServer(trace.problem)

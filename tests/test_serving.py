@@ -9,6 +9,8 @@ over a replayed trace.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core import (
@@ -26,6 +28,7 @@ from repro.serving import (
     latency_percentiles,
     serving_problem,
 )
+from repro.serving import server as server_module
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +156,58 @@ class TestSnapshotServer:
 
     def test_empty_batch(self):
         assert SnapshotServer(serving_problem(10, seed=1)).serve_batch([]) == []
+
+    def test_default_batches_run_inline_on_the_calling_thread(self, monkeypatch):
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return execute_request(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "execute_request", recording)
+        server = SnapshotServer(serving_problem(20, seed=5))
+        requests = [
+            ServeRequest.top_k(),
+            ServeRequest.count(20.0),
+            ServeRequest.exists(15.0),
+        ]
+        caller, threads = threading.get_ident(), threading.active_count()
+        results = server.serve_batch(requests)
+        assert all(result.ok for result in results)
+        assert seen == [(caller, threads)] * len(requests)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_inline_default_answers_like_an_eight_thread_pool(self, seed):
+        inline_trace = build_trace(30, 3, 10, seed=seed)
+        pooled_trace = build_trace(30, 3, 10, seed=seed)
+        inline = SnapshotServer(inline_trace.problem)
+        pooled = SnapshotServer(pooled_trace.problem, max_workers=8)
+        inline_answers, pooled_answers = [], []
+        for (delta, requests), (delta2, requests2) in zip(
+            inline_trace.rounds, pooled_trace.rounds
+        ):
+            if delta:
+                inline.apply(list(delta))
+                pooled.apply(list(delta2))
+            inline_answers.extend(
+                (r.epoch, r.answer, r.ok) for r in inline.serve_batch(requests)
+            )
+            pooled_answers.extend(
+                (r.epoch, r.answer, r.ok) for r in pooled.serve_batch(requests2)
+            )
+        assert inline_answers == pooled_answers
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_pool_sizes_below_one_are_rejected(self, workers):
+        problem = serving_problem(10, seed=1)
+        with pytest.raises(ValueError, match="max_workers"):
+            SnapshotServer(problem, max_workers=workers)
+        with pytest.raises(ValueError, match="max_workers"):
+            GlobalLockServer(problem, max_workers=workers)
+        with pytest.raises(ValueError, match="max_workers"):
+            SnapshotServer(problem).serve_batch(
+                [ServeRequest.top_k()], max_workers=workers
+            )
 
 
 class TestGlobalLockBaseline:

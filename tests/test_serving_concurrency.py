@@ -207,7 +207,8 @@ def _run_server_stress(num_items, num_batches, batch_size, num_commits, seed):
     trace = build_trace(num_items, 1, batch_size, seed=seed)
     problem = trace.problem
     request_pool = list(dict.fromkeys(trace.rounds[0][1]))
-    server = SnapshotServer(problem)
+    # An explicit pool, so batch readers overlap each other and the writer.
+    server = SnapshotServer(problem, max_workers=8)
     writer = RecordingWriter(
         problem.database,
         _item_batches(problem.database, num_commits, seed=seed),
