@@ -18,7 +18,9 @@ Two replicas walk the identical trace and fault schedule:
   every injected fault is a lost answer;
 * **guarded** — the same server armed with a
   :class:`~repro.serving.ResilienceConfig`: deadlines cut the poison off in
-  tens of milliseconds (a typed ``timeout`` error, never a wrong answer),
+  tens of milliseconds (a typed ``timeout`` error, never a wrong answer)
+  and, being wall-clock, make the server run each batch on its deadline
+  pool so that the poison requests of a round time out together,
   retries recover the transient faults, and bounded admission caps in-flight
   work.
 
@@ -65,7 +67,7 @@ GUARD = ResilienceConfig(
     deadline_s=0.02,
     max_retries=3,
     retry_backoff_s=0.001,
-    max_inflight=8,  # batches run inline: exercised on every request, never sheds
+    max_inflight=8,  # = the deadline pool: exercised on every request, never sheds
 )
 
 #: Transient worker faults, injected identically into both replicas.

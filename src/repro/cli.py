@@ -156,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         help="serve each batch on a thread pool of this size (default: the "
-        "servers' own; the snapshot server then runs batches inline)",
+        "servers' own; the snapshot server then runs batches inline, or on "
+        "8 threads when --deadline-ms is set)",
     )
     serve.add_argument("--seed", type=int, default=7, help="trace seed")
     serve.add_argument(

@@ -18,8 +18,10 @@ batches.  Two server implementations share one request vocabulary:
     throughput win comes from (see ``benchmarks/bench_serving.py``).  A
     commit simply makes the next request pin a fresh epoch; in-flight
     requests finish on the old one.  A batch runs inline on the caller's
-    thread unless the caller asks for a worker pool: request execution is
-    CPU-bound Python under the GIL, so extra threads only contend for it.
+    thread: request execution is CPU-bound Python under the GIL, so extra
+    threads only contend for it.  The one exception is a wall-clock
+    deadline, under which the batch goes to a worker pool so that slow
+    requests time out together instead of one after another.
 
 :class:`GlobalLockServer`
     The pre-MVCC baseline, retained as the reference: one lock serialises
@@ -254,6 +256,11 @@ def execute_request(
     return ("check", result.is_top_k, result.reason)
 
 
+#: The pool a :class:`SnapshotServer` picks for itself when a wall-clock
+#: deadline is armed and the caller named no size.
+_DEADLINE_WORKERS = 8
+
+
 def _check_workers(max_workers: int) -> int:
     """Return a worker count, rejecting sizes below one."""
     if max_workers < 1:
@@ -329,13 +336,17 @@ class SnapshotServer:
     starts executing; the writer commits through :meth:`apply` without ever
     blocking them.  ``serve_batch`` deduplicates identical requests up front
     (sound because every answer is tagged with the immutable epoch it was
-    computed against) and runs the unique ones in order on the calling
-    thread.  Only an explicit ``max_workers > 1`` (here or per batch) runs
-    them on a per-batch thread pool instead, for callers that need requests
-    to overlap, such as admission control.  Inline is the default because
-    a request is a pure-Python lattice walk that holds the GIL throughout:
-    pool threads add no parallelism, only contention, and racing threads
-    duplicate each other's compatibility-verdict misses on a fresh epoch.
+    computed against) and runs the unique ones, by default, in order on the
+    calling thread: a request is a pure-Python lattice walk that holds the
+    GIL throughout, so pool threads add no parallelism, only contention, and
+    racing threads duplicate each other's compatibility-verdict misses on a
+    fresh epoch.  A ``max_workers > 1`` (here or per batch) runs them on a
+    per-batch thread pool instead.  Left unset, ``max_workers`` is 1, or 8
+    when ``resilience`` arms a wall-clock ``deadline_s``: a deadline runs
+    on the wall clock, so pooled requests spend their budgets at the same
+    time, and a batch holding several slow requests waits about one
+    deadline for them rather than one each.  A step budget (``max_steps``)
+    counts work, not time, and stays inline.
 
     A failing request never takes its batch down: ``serve_one`` classifies the
     exception and returns an error :class:`ServeResult`.  Error results are
@@ -349,13 +360,16 @@ class SnapshotServer:
     def __init__(
         self,
         problem: RecommendationProblem,
-        max_workers: int = 1,
+        max_workers: Optional[int] = None,
         resilience: Optional[ResilienceConfig] = None,
         tracing: Optional[TraceSampler] = None,
         durability=None,
     ) -> None:
         self._template = problem
         self._database = problem.database
+        if max_workers is None:
+            deadline = resilience is not None and resilience.deadline_s is not None
+            max_workers = _DEADLINE_WORKERS if deadline else 1
         self._max_workers = _check_workers(max_workers)
         self._guard = threading.Lock()
         self._context: Optional[_EpochContext] = None
@@ -572,7 +586,7 @@ class SnapshotServer:
     ) -> List[ServeResult]:
         """Answer N requests, preserving order; duplicates share one compute.
 
-        ``max_workers`` overrides the constructor's size for this batch; at
+        ``max_workers`` overrides the server's size for this batch; at
         size 1 the unique requests run in order on the calling thread.
         """
         requests = list(requests)
@@ -776,7 +790,9 @@ class GlobalLockServer:
         requests = list(requests)
         if not requests:
             return []
-        workers = max(1, min(max_workers or self._max_workers, len(requests)))
+        if max_workers is None:
+            max_workers = self._max_workers
+        workers = min(_check_workers(max_workers), len(requests))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(self.serve_one, requests))
 

@@ -21,6 +21,7 @@ from repro.core import (
 )
 from repro.serving import (
     GlobalLockServer,
+    ResilienceConfig,
     ServeRequest,
     SnapshotServer,
     build_trace,
@@ -176,6 +177,38 @@ class TestSnapshotServer:
         assert all(result.ok for result in results)
         assert seen == [(caller, threads)] * len(requests)
 
+    @pytest.mark.parametrize(
+        "resilience,max_workers,pooled",
+        [
+            (ResilienceConfig(deadline_s=5.0), None, True),
+            (ResilienceConfig(deadline_s=5.0), 1, False),
+            (ResilienceConfig(max_steps=10**9), None, False),
+        ],
+    )
+    def test_a_wall_clock_deadline_picks_a_pool_unless_a_size_is_given(
+        self, monkeypatch, resilience, max_workers, pooled
+    ):
+        # Pooled requests spend their wall-clock budgets at the same time; a
+        # step budget counts work, so it gains nothing from a pool.
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(threading.get_ident())
+            return execute_request(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "execute_request", recording)
+        server = SnapshotServer(
+            serving_problem(20, seed=5), max_workers=max_workers, resilience=resilience
+        )
+        requests = [
+            ServeRequest.top_k(),
+            ServeRequest.count(20.0),
+            ServeRequest.exists(15.0),
+        ]
+        assert all(result.ok for result in server.serve_batch(requests))
+        assert len(seen) == len(requests)
+        assert {ident == threading.get_ident() for ident in seen} == {not pooled}
+
     @pytest.mark.parametrize("seed", range(5))
     def test_inline_default_answers_like_an_eight_thread_pool(self, seed):
         inline_trace = build_trace(30, 3, 10, seed=seed)
@@ -204,10 +237,9 @@ class TestSnapshotServer:
             SnapshotServer(problem, max_workers=workers)
         with pytest.raises(ValueError, match="max_workers"):
             GlobalLockServer(problem, max_workers=workers)
-        with pytest.raises(ValueError, match="max_workers"):
-            SnapshotServer(problem).serve_batch(
-                [ServeRequest.top_k()], max_workers=workers
-            )
+        for server in (SnapshotServer(problem), GlobalLockServer(problem)):
+            with pytest.raises(ValueError, match="max_workers"):
+                server.serve_batch([ServeRequest.top_k()], max_workers=workers)
 
 
 class TestGlobalLockBaseline:
